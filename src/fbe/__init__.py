@@ -36,7 +36,6 @@ from .ifs import (
     attractor,
     chaos_game,
     coding_map,
-    dual,
     hausdorff_distance,
     random_address,
     verify_semiconjugacy,

@@ -123,10 +123,6 @@ class Address:
     def finite(cls, digits) -> "Address":
         return cls(tuple(digits), ())
 
-    @classmethod
-    def periodic(cls, pre, period) -> "Address":
-        return cls(tuple(pre), tuple(period))
-
 
 @dataclass(frozen=True)
 class AddressClass:

@@ -193,36 +193,6 @@ class _RasterGrid:
         return Raster(lo=self.lo, hi=self.hi, nx=self.nx, ny=self.ny, depth=depth)
 
 
-def _prune_radius(ifs, cloud, lo, hi, tau) -> float | None:
-    """Sound prune bound for contractive affine systems.
-
-    Inverse maps do not decrease distance to the attractor, so once every
-    image point is farther from the cloud than any region point can be,
-    no descendant word can mark a cell.
-    """
-    if ifs.is_sphere:
-        return None
-    rdim = lo.shape[0]
-    if ifs.dim != rdim:
-        return None  # region constrains a projection only; no sound bound
-    lams = [ifs.map_lipschitz(i) for i in range(1, ifs.n_maps + 1)]
-    if max(lams) >= 1.0:
-        return None
-    corners = np.array(
-        [[lo[0] - tau], [hi[0] + tau]]
-        if rdim == 1
-        else [
-            [lo[0] - tau, lo[1] - tau],
-            [lo[0] - tau, hi[1] + tau],
-            [hi[0] + tau, lo[1] - tau],
-            [hi[0] + tau, hi[1] + tau],
-        ]
-    )
-    corner_d = cloud.nearest_dist(corners).max()
-    half_diag = 0.5 * float(np.linalg.norm(hi - lo + 2 * tau))
-    return corner_d + half_diag + 10.0 * cloud.epsilon
-
-
 def fast_basin_raster(
     ifs: IfsSystem,
     cloud: AttractorCloud,
@@ -235,7 +205,10 @@ def fast_basin_raster(
     """Mark cells hit by f_w^{-1}(cloud) over all positive words |w| <= depth.
 
     A cell is hit when a transformed cloud point lies in the closed cell
-    inflated by tau; the recorded value is the minimal word length.
+    inflated by tau; the recorded value is the minimal word length. Every
+    word of the tree is visited: no subtree can be skipped, because
+    f_w(A) is in A, so each pulled cloud f_w^{-1}(cloud) comes back to
+    the attractor.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -248,17 +221,13 @@ def fast_basin_raster(
             ResolutionWarning,
             stacklevel=2,
         )
-    rmax = _prune_radius(ifs, cloud, lo, hi, tau)
     stack = [(0, cloud.points)]
     while stack:
         word_len, pts = stack.pop()
         grid.mark(_raster_coords(ifs, pts), word_len)
-        if word_len >= depth:
-            continue
-        if rmax is not None and cloud.nearest_dist(pts).min() > rmax:
-            continue
-        for n in range(ifs.n_maps, 0, -1):
-            stack.append((word_len + 1, ifs.transform(-n, pts)))
+        if word_len < depth:
+            for n in range(ifs.n_maps, 0, -1):
+                stack.append((word_len + 1, ifs.transform(-n, pts)))
     return grid.finalize()
 
 
@@ -327,41 +296,27 @@ def membership(
             f"tol={tol:.3g} is below the cloud tolerance tau={cloud.tau:.3g}"
         )
     x = np.asarray(x, dtype=float).reshape(-1)
-    affine = not ifs.is_sphere
-    ident = ifs.identity_composition() if affine else None
-    # level entries: (word, forward composition | None, lip product)
-    level = [((), ident, 1.0)]
     d0 = cloud.dist_point(x)
     if d0 <= tol:
         return MembershipResult("yes", (), 0, tol, d0)
+    digits = range(1, ifs.n_maps + 1)
+    lips = [ifs.map_lipschitz(n) for n in digits]
+    # level k: the words of length k in lexicographic order, the images
+    # f_w(x) and the Lipschitz products, extended by f_{(n)+w} = f_n o f_w
+    words, ys, lip = [()], x[None, :], np.ones(1)
     for k in range(1, depth + 1):
-        new_level = []
-        for n in range(1, ifs.n_maps + 1):
-            f_n = ifs.map_for(n) if affine else None
-            lip_n = ifs.map_lipschitz(n)
-            for word, fwd, lip in level:
-                new_level.append(
-                    (
-                        (n,) + word,
-                        f_n.compose(fwd) if affine else None,
-                        lip * lip_n,
-                    )
-                )
-        for word, fwd, lip in new_level:
-            if affine:
-                y = fwd(x[None, :])[0]
-            else:
-                y = ifs.apply_word_point(word, x)
-            img_d = cloud.dist_point(y)
-            if img_d > tol * max(lip, 1e-300):
-                continue  # no cloud point can pull back within tol
-            pulled = ifs.apply_word(
-                tuple(-d for d in reversed(word)), cloud.points
-            )
+        words = [(n,) + w for n in digits for w in words]
+        ys = np.concatenate([ifs.transform(n, ys) for n in digits])
+        lip = np.concatenate([lip * lip_n for lip_n in lips])
+        # no cloud point can pull back within tol where f_w(x) is farther
+        # than tol * Lip(f_w) from the cloud
+        far = cloud.nearest_dist(ys) > tol * np.maximum(lip, 1e-300)
+        for j in np.flatnonzero(~far):
+            word = words[j]
+            pulled = ifs.apply_word(tuple(-d for d in reversed(word)), cloud.points)
             d = float(np.linalg.norm(pulled - x, axis=1).min())
             if d <= tol:
                 return MembershipResult("yes", word, k, tol, d)
-        level = new_level
     return MembershipResult("no_up_to_depth", None, depth, tol, None)
 
 

@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Subcommands: attractor, fastbasin, continuation, code, manifold, verify,
-spec. Outputs are deterministic given flags and seeds; --threads is an
-accepted hint and never changes output bytes.
+spec. Outputs are deterministic given flags and seeds.
 """
 
 from __future__ import annotations
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, cell_default=1e-3):
         p.add_argument("--ifs", required=True, help="spec file or built-in name")
         p.add_argument("--cell", type=float, default=cell_default)
-        p.add_argument("--threads", type=int, default=1, help="hint only")
 
     p = sub.add_parser("attractor", help="compute and cache an attractor cloud")
     add_common(p)

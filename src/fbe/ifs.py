@@ -126,11 +126,6 @@ class IfsSystem:
             p2 = p1 + 0.25
         return np.vstack([p1, p2])
 
-    def identity_composition(self):
-        if self.is_sphere:
-            return MoebiusMap(1.0, 0.0, 0.0, 1.0)
-        return AffineMap(np.eye(self.dim), np.zeros(self.dim))
-
     def dual(self) -> "IfsSystem":
         """The system of inverse maps, same digit order."""
         return IfsSystem(self.space, tuple(m.inverse() for m in self.maps))
@@ -144,35 +139,6 @@ class IfsSystem:
     def ifs_hash(self) -> str:
         blob = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def dual(ifs: IfsSystem) -> IfsSystem:
-    return ifs.dual()
-
-
-@dataclass(frozen=True)
-class LipschitzBound:
-    value: float
-    estimate: bool  # True when sampled (Moebius) rather than exact (affine)
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def lipschitz_bound(
-    ifs: IfsSystem, map_index: int, region: np.ndarray | None = None
-) -> LipschitzBound:
-    """Lipschitz bound of one signed-digit map over a region.
-
-    Affine bounds are exact singular values; Moebius bounds are sampled
-    maxima of the chordal derivative, flagged as estimates. The chordal
-    derivative of a Moebius map is globally bounded, so no region makes
-    the bound blow up.
-    """
-    return LipschitzBound(
-        value=ifs.map_lipschitz(map_index, region),
-        estimate=ifs.is_sphere,
-    )
 
 
 # -- attractor clouds ----------------------------------------------------------

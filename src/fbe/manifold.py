@@ -9,6 +9,7 @@ never materialised; the pair decides the equivalence class.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,23 @@ from .errors import (
 from .ifs import AttractorCloud, IfsSystem, coding_map
 
 Word = tuple[int, ...]
+
+# Leaf index: per cloud, and per (system hash, map i), the KD-tree of
+# f_i(cloud) and the mask of cloud points farther than tau from it, i.e.
+# the cloud's share of A minus f_i(A). Entries live as long as their cloud.
+_LEAF_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _leaf_index(
+    ifs: IfsSystem, cloud: AttractorCloud, i: int
+) -> tuple[cKDTree, np.ndarray]:
+    """KD-tree of f_i(cloud) and the mask of cloud points outside f_i(A)."""
+    entries = _LEAF_INDEX.setdefault(cloud, {})
+    key = (ifs.ifs_hash(), i)
+    if key not in entries:
+        tree = cKDTree(ifs.transform(i, cloud.points))
+        entries[key] = (tree, tree.query(cloud.points)[0] > cloud.tau)
+    return entries[key]
 
 
 @dataclass(eq=False)
@@ -53,9 +71,8 @@ def manifold_point(
     if cloud.dist_point(x) > cloud.tau:
         raise DomainError("fractional point is not on the attractor cloud")
     if theta:
-        i = -theta[-1]
-        fi = ifs.transform(i, cloud.points)
-        if float(cKDTree(fi).query(x[None, :])[0][0]) <= cloud.tau:
+        tree, _ = _leaf_index(ifs, cloud, -theta[-1])
+        if float(tree.query(x)[0]) <= cloud.tau:
             raise DomainError(
                 "fractional point lies in f_i(A): not a leaf representative"
             )
@@ -202,9 +219,7 @@ def leaf_projection(
     if any(d >= 0 for d in theta):
         raise DomainError("leaf labels are words over the negative digits")
     i = -theta[-1]
-    fi = ifs.transform(i, cloud.points)
-    dist = cKDTree(fi).query(cloud.points)[0]
-    kept = cloud.points[dist > cloud.tau]
+    kept = cloud.points[_leaf_index(ifs, cloud, i)[1]]
     if kept.size == 0:
         raise EmptyLeafError(f"leaf {theta} projects to nothing (A == f_{i}(A)?)")
     return ifs.apply_word(theta, kept)
@@ -273,12 +288,11 @@ def _gluing_points(
     accuracy by extracting an eventually-periodic address.
     """
     tau = cloud.tau
-    fi = ifs.transform(i, cloud.points)
-    d_fi = cKDTree(fi).query(cloud.points)[0]
-    far = cloud.points[d_fi > tau]
+    outside = _leaf_index(ifs, cloud, i)[1]
+    far = cloud.points[outside]
     if far.shape[0] == 0:
         return []
-    inside = cloud.points[d_fi <= tau]
+    inside = cloud.points[~outside]
     if inside.shape[0] == 0:
         return []
     d_far = cKDTree(far).query(inside)[0]
@@ -336,9 +350,7 @@ def branch_points(
             closure_clouds[phi] = cloud.points
             continue
         i = -phi[-1]
-        fi = ifs.transform(i, cloud.points)
-        dist = cKDTree(fi).query(cloud.points)[0]
-        base = cloud.points[dist > cloud.tau]
+        base = cloud.points[_leaf_index(ifs, cloud, i)[1]]
         extras = glue[i]
         if extras:
             base = np.vstack([base] + [g[None, :] for g in extras])

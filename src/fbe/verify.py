@@ -16,6 +16,7 @@ from .basin import (
     membership,
     raster_from_continuations,
 )
+from .errors import DomainError, EmptyLeafError
 from .ifs import (
     AttractorCloud,
     IfsSystem,
@@ -24,7 +25,12 @@ from .ifs import (
     hausdorff_distance,
     verify_semiconjugacy,
 )
-from .manifold import ManifoldPoint, distance as manifold_distance, enumerate_leaves, leaf_projection
+from .manifold import (
+    distance as manifold_distance,
+    enumerate_leaves,
+    leaf_projection,
+    manifold_point,
+)
 from .systems import default_seed
 
 
@@ -78,13 +84,10 @@ def _random_manifold_points(ifs, cloud, rng, n):
         k = int(rng.integers(0, 4))
         theta = tuple(-int(rng.integers(1, ifs.n_maps + 1)) for _ in range(k))
         x = cloud.points[int(rng.integers(0, cloud.points.shape[0]))]
-        if theta:
-            i = -theta[-1]
-            fi = ifs.transform(i, cloud.points)
-            if float(np.linalg.norm(fi - x, axis=1).min()) <= cloud.tau:
-                continue
-        proj = ifs.apply_word_point(theta, x)
-        pts.append(ManifoldPoint(theta=theta, x=x, proj=proj))
+        try:
+            pts.append(manifold_point(ifs, cloud, theta, x))
+        except DomainError:
+            continue
     return pts
 
 
@@ -286,7 +289,7 @@ def run_verify(
         for theta in enumerate_leaves(ifs.n_maps, 2):
             try:
                 pts = leaf_projection(ifs, cloud, theta)
-            except Exception:
+            except EmptyLeafError:
                 continue
             back = ifs.apply_word(tuple(-d for d in reversed(theta)), pts)
             shapes.append(back)

@@ -24,7 +24,7 @@ from fbe.basin import (
     fast_basin_raster,
     raster_from_continuations,
 )
-from fbe.ifs import attractor, coding_map, dual, verify_semiconjugacy
+from fbe.ifs import attractor, coding_map, verify_semiconjugacy
 from fbe.manifold import (
     branch_points,
     canonicalize,
@@ -419,7 +419,7 @@ def test_acceptance_10_projective(proj_ifs):
     assert np.max(np.diff(xs)) <= 4e-3
     assert np.abs(zp.imag).max() <= 1e-3
 
-    d_ifs = dual(proj_ifs)
+    d_ifs = proj_ifs.dual()
     dual_cloud = attractor(d_ifs, systems.default_seed(d_ifs), depth=400, cell=5e-4)
     zd = from_sphere(dual_cloud.points)
     finite = np.isfinite(zd.real)

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from fbe import systems
+from fbe import attractor, systems
 from fbe.addresses import parse_address
 from fbe.basin import (
     ResolutionWarning,
@@ -124,6 +126,33 @@ def test_raster_sierpinski_translates(sierpinski_ifs, sierpinski_cloud, rng):
         ix = np.floor((pts[:, 0] + 2) / widths).astype(int)
         iy = np.floor((pts[:, 1] + 2) / widths).astype(int)
         assert ras.hit[iy, ix].all()
+
+
+@pytest.fixture(scope="module")
+def koch_cloud(koch_ifs):
+    return attractor(koch_ifs, systems.default_seed(koch_ifs), depth=300, cell=2.0**-7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pulled_clouds_return_to_attractor(
+    sierpinski_ifs, sierpinski_cloud, koch_ifs, koch_cloud, interval_ifs, interval_cloud, data
+):
+    # f_w(A) lies in A, so A lies in f_w^{-1}(A): every pulled cloud comes
+    # back within tau of the cloud, and the word-tree raster has no subtree
+    # that could be skipped for lying far from the attractor
+    ifs, cloud = data.draw(
+        st.sampled_from(
+            [
+                (sierpinski_ifs, sierpinski_cloud),
+                (koch_ifs, koch_cloud),
+                (interval_ifs, interval_cloud),
+            ]
+        )
+    )
+    word = data.draw(st.lists(st.integers(1, ifs.n_maps), min_size=1, max_size=4))
+    pulled = ifs.apply_word(tuple(-d for d in reversed(word)), cloud.points)
+    assert cloud.nearest_dist(pulled).min() <= cloud.tau
 
 
 def test_raster_resolution_warning(cantor_ifs, cantor_cloud):

@@ -11,7 +11,6 @@ from fbe.ifs import (
     attractor,
     chaos_game,
     coding_map,
-    dual,
     hausdorff_distance,
     random_address,
     verify_semiconjugacy,
@@ -143,8 +142,8 @@ def test_coding_map_periodic_fixed_point(interval_ifs, rng):
     for _ in range(20):
         k = int(rng.integers(1, 4))
         w = tuple(int(d) for d in rng.choice([1, 2], size=k))
-        comp = interval_ifs.identity_composition()
-        for d in w:
+        comp = interval_ifs.map_for(w[0])
+        for d in w[1:]:
             comp = comp.compose(interval_ifs.map_for(d))
         fixed = comp.fixed_point()
         val = coding_map(interval_ifs, Address((), w), tol=1e-11)
@@ -200,7 +199,7 @@ def test_hausdorff_empty_error():
 
 def test_dual_involution(cantor_ifs, koch_ifs):
     for ifs in (cantor_ifs, koch_ifs):
-        dd = dual(dual(ifs))
+        dd = ifs.dual().dual()
         for m, m2 in zip(ifs.maps, dd.maps):
             assert np.allclose(m.matrix, m2.matrix)
             assert np.allclose(m.offset, m2.offset)
@@ -208,14 +207,14 @@ def test_dual_involution(cantor_ifs, koch_ifs):
 
 def test_dual_moebius_involution():
     ifs = systems.mobius_arc()
-    dd = dual(dual(ifs))
+    dd = ifs.dual().dual()
     for m, m2 in zip(ifs.maps, dd.maps):
         assert np.allclose(m.matrix(), m2.matrix())
 
 
 def test_dual_scalar():
     ifs = IfsSystem("R1", (AffineMap(np.array([[1 / 3]]), np.array([0.0])),))
-    d = dual(ifs)
+    d = ifs.dual()
     assert d.maps[0].matrix[0, 0] == pytest.approx(3.0)
 
 

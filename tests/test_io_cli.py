@@ -181,8 +181,6 @@ def test_cli_fastbasin_deterministic(tmp_path):
                 "2",
                 "--out",
                 str(out),
-                "--threads",
-                "4",
             ]
         )
         outs.append(out.read_bytes())

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import fbe.manifold
 from fbe.addresses import parse_address
 from fbe.basin import fast_basin_raster
 from fbe.errors import AmbiguousMembershipError, DomainError
-from fbe.ifs import AttractorCloud, hausdorff_distance
+from fbe.ifs import AttractorCloud, IfsSystem, hausdorff_distance
 from fbe.manifold import (
     ManifoldPoint,
     branch_points,
@@ -301,6 +302,61 @@ def test_leaf_shape_count(interval_ifs, interval_cloud, cantor_ifs, cantor_cloud
             if not any(hausdorff_distance(s, c) <= 3 * cloud.epsilon for c in clusters):
                 clusters.append(s)
         assert len(clusters) == 3  # A, A minus f_1(A), A minus f_2(A)
+
+
+# -- leaf index ---------------------------------------------------------------------
+
+
+def _count_kdtree_builds(monkeypatch) -> list:
+    builds = []
+    real = fbe.manifold.cKDTree
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fbe.manifold, "cKDTree", counted)
+    return builds
+
+
+def _fresh(cloud: AttractorCloud) -> AttractorCloud:
+    """A new cloud object over the same points: its leaf index is empty."""
+    return AttractorCloud(cloud.points, cloud.epsilon)
+
+
+def test_leaf_index_one_tree_per_map(sierpinski_ifs, sierpinski_cloud, monkeypatch):
+    cloud = _fresh(sierpinski_cloud)
+    builds = _count_kdtree_builds(monkeypatch)
+    for theta in enumerate_leaves(3, 3):
+        leaf_projection(sierpinski_ifs, cloud, theta)
+    # 39 nonempty labels end in one of the 3 digits
+    assert len(builds) == 3
+
+
+def test_manifold_point_reuses_leaf_index(sierpinski_ifs, sierpinski_cloud, monkeypatch):
+    ifs, cloud = sierpinski_ifs, _fresh(sierpinski_cloud)
+    # independent oracle for A minus f_1(A), built outside fbe.manifold
+    d = cKDTree(ifs.transform(1, cloud.points)).query(cloud.points)[0]
+    outside = cloud.points[d > cloud.tau]
+    builds = _count_kdtree_builds(monkeypatch)
+    a = manifold_point(ifs, cloud, (-1,), outside[0])
+    b = manifold_point(ifs, cloud, (-2, -1), outside[-1])
+    assert len(builds) == 1
+    assert a.theta == (-1,) and b.theta == (-2, -1)
+
+
+def test_leaf_index_keyed_by_system(interval_ifs, interval_cloud):
+    # one cloud, two systems whose f_1 differ: each keeps its own mask
+    swapped = IfsSystem(interval_ifs.space, interval_ifs.maps[::-1])
+    cloud = _fresh(interval_cloud)
+    for _ in range(2):  # the second round reads the cached entries
+        # f_1 = x/2: f_1^{-1}(A minus [0, 1/2]) lies in (1, 2]
+        assert leaf_projection(interval_ifs, cloud, (-1,)).min() > 1.0
+        # f_1 = x/2 + 1/2: f_1^{-1}(A minus [1/2, 1]) lies in [-1, 0)
+        assert leaf_projection(swapped, cloud, (-1,)).max() < 0.0
+        manifold_point(interval_ifs, cloud, (-1,), [0.9])
+        with pytest.raises(DomainError):
+            manifold_point(swapped, cloud, (-1,), [0.9])
 
 
 # -- branch points -------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbe import systems
-from fbe.ifs import attractor, hausdorff_distance, lipschitz_bound
+from fbe.ifs import attractor, hausdorff_distance
 
 
 def test_registry_constructs_all():
@@ -19,14 +19,9 @@ def test_unknown_name():
 
 
 def test_lipschitz_bound_flags():
-    affine = lipschitz_bound(systems.cantor(), 1)
-    assert not affine.estimate
-    assert float(affine) == pytest.approx(1 / 3)
-    inv = lipschitz_bound(systems.cantor(), -1)
-    assert float(inv) == pytest.approx(3.0)
-    sphere = lipschitz_bound(systems.mobius_arc(), 1)
-    assert sphere.estimate
-    assert np.isfinite(sphere.value)
+    assert systems.cantor().map_lipschitz(1) == pytest.approx(1 / 3)
+    assert systems.cantor().map_lipschitz(-1) == pytest.approx(3.0)
+    assert np.isfinite(systems.mobius_arc().map_lipschitz(1))
 
 
 @pytest.mark.parametrize(
