@@ -100,12 +100,15 @@ class Raster:
         return header + gray.tobytes()
 
     def to_csv(self) -> str:
-        lines = ["ix,iy,depth"]
+        # np.nonzero is row-major: rows by iy, then ix. Chunks keep the
+        # Python ints of only a few thousand rows alive at a time.
         ys, xs = np.nonzero(self.hit)
-        order = np.lexsort((xs, ys))
-        for j in order:
-            lines.append(f"{xs[j]},{ys[j]},{self.depth[ys[j], xs[j]]}")
-        return "\n".join(lines) + "\n"
+        d = self.depth[ys, xs]
+        parts = ["ix,iy,depth\n"]
+        for s in range(0, ys.shape[0], 4096):
+            rows = zip(*(a[s : s + 4096].tolist() for a in (xs, ys, d)))
+            parts.append("".join(f"{x},{y},{v}\n" for x, y, v in rows))
+        return "".join(parts)
 
 
 def _normalize_region(region) -> tuple[np.ndarray, np.ndarray]:
@@ -151,41 +154,44 @@ class _RasterGrid:
         self.depth = np.full((ny, nx), np.iinfo(np.int32).max, dtype=np.int32)
 
     def _axis_ranges(self, vals, axis, n):
+        """Clipped cell index ranges [lo, hi] and the mask of nonempty ones."""
         w = self.widths[axis]
         lo = np.floor((vals - self.tau - self.lo[axis]) / w).astype(np.int64)
         hi = np.floor((vals + self.tau - self.lo[axis]) / w).astype(np.int64)
-        return np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1), lo <= n - 1, hi >= 0
+        ok = (lo <= hi) & (lo <= n - 1) & (hi >= 0)
+        return np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1), ok
 
     def mark(self, pts: np.ndarray, word_len: int):
+        """Lower the depth of every cell some point's tau-box touches to word_len.
+
+        Each box is a rectangle of cells; its corners go into a difference
+        array over the bounding box of all rectangles, whose two prefix
+        sums give the number of rectangles covering each cell.
+        """
         if pts.size == 0:
             return
-        x = pts[:, 0]
-        ix_lo, ix_hi, okx1, okx2 = self._axis_ranges(x, 0, self.nx)
-        keep = okx1 & okx2
+        ix_lo, ix_hi, keep = self._axis_ranges(pts[:, 0], 0, self.nx)
         if self.rdim == 2:
-            y = pts[:, 1]
-            iy_lo, iy_hi, oky1, oky2 = self._axis_ranges(y, 1, self.ny)
-            keep &= oky1 & oky2
+            iy_lo, iy_hi, oky = self._axis_ranges(pts[:, 1], 1, self.ny)
+            keep &= oky
+        else:
+            iy_lo = iy_hi = np.zeros(ix_lo.shape, dtype=np.int64)
         if not keep.any():
             return
         ix_lo, ix_hi = ix_lo[keep], ix_hi[keep]
-        if self.rdim == 2:
-            iy_lo, iy_hi = iy_lo[keep], iy_hi[keep]
-        else:
-            iy_lo = np.zeros(ix_lo.shape, dtype=np.int64)
-            iy_hi = iy_lo
-        span_x = int((ix_hi - ix_lo).max())
-        span_y = int((iy_hi - iy_lo).max())
-        for dy in range(span_y + 1):
-            iy = iy_lo + dy
-            vy = iy <= iy_hi
-            for dx in range(span_x + 1):
-                ix = ix_lo + dx
-                v = vy & (ix <= ix_hi)
-                if not v.any():
-                    continue
-                flat = iy[v] * self.nx + ix[v]
-                np.minimum.at(self.depth.ravel(), flat, word_len)
+        iy_lo, iy_hi = iy_lo[keep], iy_hi[keep]
+        x0, y0 = int(ix_lo.min()), int(iy_lo.min())
+        w = int(ix_hi.max()) - x0 + 2
+        h = int(iy_hi.max()) - y0 + 2
+        r0, r1 = (iy_lo - y0) * w, (iy_hi - y0 + 1) * w
+        c0, c1 = ix_lo - x0, ix_hi - x0 + 1
+        corners = np.concatenate([r0 + c0, r1 + c1, r0 + c1, r1 + c0])
+        signs = np.repeat([1.0, 1.0, -1.0, -1.0], ix_lo.shape[0])
+        cover = np.bincount(corners, weights=signs, minlength=h * w).reshape(h, w)
+        np.cumsum(cover, axis=0, out=cover)
+        np.cumsum(cover, axis=1, out=cover)
+        sub = self.depth[y0 : y0 + h - 1, x0 : x0 + w - 1]
+        np.minimum(sub, word_len, out=sub, where=cover[:-1, :-1] > 0)
 
     def finalize(self) -> Raster:
         depth = self.depth.copy()

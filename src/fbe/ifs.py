@@ -6,7 +6,9 @@ Composition follows the convention f_{w} = f_{w_1} o f_{w_2} o ... o f_{w_k}
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -20,6 +22,14 @@ from .maps import AffineMap, MoebiusMap, fibonacci_sphere, from_sphere, to_spher
 SPACE_DIMS = {"R1": 1, "R2": 2, "R4": 4, "sphere": 3}
 
 Word = tuple[int, ...]
+
+
+@functools.cache
+def _whole_sphere_samples() -> np.ndarray:
+    """Complex values of a fixed quasi-uniform sample of the whole sphere."""
+    z = from_sphere(fibonacci_sphere(2048))
+    z.flags.writeable = False
+    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +92,6 @@ class IfsSystem:
 
     # -- Lipschitz estimates --------------------------------------------------
 
-    def _sphere_samples(self, region: np.ndarray | None) -> np.ndarray:
-        pts = fibonacci_sphere(2048) if region is None else np.atleast_2d(region)
-        return from_sphere(pts)
-
     def map_lipschitz(self, digit: int, region: np.ndarray | None = None) -> float:
         """Upper Lipschitz bound for one (possibly inverse) map.
 
@@ -96,7 +102,9 @@ class IfsSystem:
         m = self.map_for(digit)
         if isinstance(m, AffineMap):
             return m.lipschitz()
-        return m.lipschitz(self._sphere_samples(region))
+        if region is None:
+            return m.lipschitz(_whole_sphere_samples())
+        return m.lipschitz(from_sphere(np.atleast_2d(region)))
 
     def word_lipschitz(self, word: Word, region: np.ndarray | None = None) -> float:
         out = 1.0
@@ -312,23 +320,27 @@ def chaos_game(
 # -- coding map -----------------------------------------------------------------
 
 
-def _eval_prefix_at(ifs: IfsSystem, tail: Address, k: int, base_z, base_pts):
-    """f_{tail|k}(b) for both base points, by one backward pass.
+def _eval_prefix_pair(ifs: IfsSystem, tail: Address, k: int, base):
+    """f_{tail|k}(b) and f_{tail|k+1}(b) for both base points, in one pass.
 
     Composed matrices degenerate numerically as the composition collapses
     to a constant map, so the evaluation walks the word from the inside
-    out on points instead.
+    out on points instead: the base points, stacked with their images
+    under digit k+1, go through digits k, ..., 1 together. On the sphere
+    the base points are complex values.
     """
     if ifs.is_sphere:
-        z = base_z.copy()
-        for i in range(k, 0, -1):
-            z = ifs.maps[tail.digit(i) - 1].apply_complex(z)
-        return to_sphere(z)
-    pts = base_pts
-    for i in range(k, 0, -1):
-        m = ifs.maps[tail.digit(i) - 1]
-        pts = pts @ m.matrix.T + m.offset
-    return pts
+        steps = [m.apply_complex for m in ifs.maps]
+    else:
+        steps = [lambda v, a=m.matrix.T, t=m.offset: v @ a + t for m in ifs.maps]
+    tail_digits = itertools.chain(tail.pre, itertools.cycle(tail.period))
+    digits = list(itertools.islice(tail_digits, k + 1))
+    v = np.concatenate([base, steps[digits[k] - 1](base)])
+    for d in reversed(digits[:k]):
+        v = steps[d - 1](v)
+    if ifs.is_sphere:
+        v = to_sphere(v)
+    return v[:2], v[2:]
 
 
 def coding_map(ifs: IfsSystem, addr: Address, tol: float = 1e-10) -> np.ndarray:
@@ -353,17 +365,18 @@ def coding_map(ifs: IfsSystem, addr: Address, tol: float = 1e-10) -> np.ndarray:
     else:
         step_tol = tail_tol / 8.0
 
-    base_z = from_sphere(ifs.base_points()) if ifs.is_sphere else None
-    base_pts = None if ifs.is_sphere else ifs.base_points()
+    base = from_sphere(ifs.base_points()) if ifs.is_sphere else ifs.base_points()
     k = 16
     cap = 1 << 22
     step = np.inf
     while k <= cap:
-        cur = _eval_prefix_at(ifs, tail, k, base_z, base_pts)
-        nxt = _eval_prefix_at(ifs, tail, k + 1, base_z, base_pts)
+        cur, nxt = _eval_prefix_pair(ifs, tail, k, base)
         step = float(np.linalg.norm(nxt - cur, axis=1).max())
         spread = float(np.linalg.norm(cur[0] - cur[1]))
-        if step < step_tol and spread <= 2.0 * tail_tol:
+        # steps and spreads stall at float64 resolution at the point's
+        # scale; a tolerance below that would never be met
+        floor = 8.0 * np.finfo(float).eps * max(1.0, float(np.abs(cur).max()))
+        if step < max(step_tol, floor) and spread <= 2.0 * max(tail_tol, floor):
             return ifs.apply_word(prefix, cur[:1])[0]
         k *= 2
     raise NoConvergenceError(

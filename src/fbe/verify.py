@@ -256,8 +256,9 @@ def run_verify(
     def same_sheet():
         pts = _random_manifold_points(ifs, cloud, rng, 40)
         worst = 0.0
-        for a in pts:
-            for b in pts:
+        # the distance and the residual are symmetric in (a, b) bit for bit
+        for i, a in enumerate(pts):
+            for b in pts[i:]:
                 ta, tb = a.theta, b.theta
                 k = min(len(ta), len(tb))
                 if ta[:k] != tb[:k]:
@@ -293,10 +294,20 @@ def run_verify(
                 continue
             back = ifs.apply_word(tuple(-d for d in reversed(theta)), pts)
             shapes.append(back)
-        clusters: list[np.ndarray] = []
-        for s in shapes:
-            if not any(hausdorff_distance(s, c) <= 3 * eps for c in clusters):
-                clusters.append(s)
+        from scipy.spatial import cKDTree
+
+        # H(s, c) <= 3 eps iff each set lies within 3 eps of the other; a
+        # bounded query answers that without the full Hausdorff distance
+        trees = [cKDTree(s) for s in shapes]
+
+        def within(j, c):
+            d = trees[c].query(shapes[j], distance_upper_bound=6 * eps)[0]
+            return bool(np.all(d <= 3 * eps))
+
+        clusters: list[int] = []
+        for j in range(len(shapes)):
+            if not any(within(j, c) and within(c, j) for c in clusters):
+                clusters.append(j)
         return float(max(0, len(clusters) - (ifs.n_maps + 1)))
 
     _timed(report, "leaf-shape-count", "leaf-classification", 0.0, leaf_shapes)

@@ -9,7 +9,9 @@ from scipy.spatial import cKDTree
 from fbe import attractor, systems
 from fbe.addresses import parse_address
 from fbe.basin import (
+    Raster,
     ResolutionWarning,
+    _RasterGrid,
     basin_inclusion_check,
     fast_basin_raster,
     finite_continuation,
@@ -155,6 +157,70 @@ def test_pulled_clouds_return_to_attractor(
     assert cloud.nearest_dist(pulled).min() <= cloud.tau
 
 
+def _scatter_mark(depth, lo, hi, nx, ny, tau, pts, word_len):
+    """Reference marking: one np.minimum.at per (dx, dy) offset of the
+    tau-inflated cell span, as the raster grid did before corner sums."""
+    rdim = lo.shape[0]
+    widths = (hi - lo) / np.array([nx, ny][:rdim])
+
+    def ranges(vals, axis, n):
+        a = np.floor((vals - tau - lo[axis]) / widths[axis]).astype(np.int64)
+        b = np.floor((vals + tau - lo[axis]) / widths[axis]).astype(np.int64)
+        return np.clip(a, 0, n - 1), np.clip(b, 0, n - 1), (a <= n - 1) & (b >= 0)
+
+    ix_lo, ix_hi, keep = ranges(pts[:, 0], 0, nx)
+    if rdim == 2:
+        iy_lo, iy_hi, oky = ranges(pts[:, 1], 1, ny)
+        keep &= oky
+    else:
+        iy_lo = iy_hi = np.zeros(ix_lo.shape, dtype=np.int64)
+    if not keep.any():
+        return
+    ix_lo, ix_hi, iy_lo, iy_hi = ix_lo[keep], ix_hi[keep], iy_lo[keep], iy_hi[keep]
+    for dy in range(int((iy_hi - iy_lo).max()) + 1):
+        iy = iy_lo + dy
+        for dx in range(int((ix_hi - ix_lo).max()) + 1):
+            ix = ix_lo + dx
+            v = (iy <= iy_hi) & (ix <= ix_hi)
+            np.minimum.at(depth.ravel(), iy[v] * nx + ix[v], word_len)
+
+
+@st.composite
+def _marking_case(draw):
+    rdim = draw(st.sampled_from([1, 2]))
+    nx = draw(st.integers(1, 24))
+    ny = draw(st.integers(1, 24)) if rdim == 2 else 1
+    lo = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(rdim)])
+    hi = lo + np.array([draw(st.floats(0.1, 4.0)) for _ in range(rdim)])
+    cell = float(((hi - lo) / np.array([nx, ny][:rdim])).min())
+    # from an inverted box (nothing marked) through several cell widths
+    tau = draw(st.sampled_from([-3.0, -0.5, 0.0, 1.0, 2.5, 4.0])) * cell
+    tau += draw(st.floats(0.0, 0.5)) * cell
+    marks = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 25))
+        # points inside, near and wholly outside the region, some on edges
+        u = np.array(
+            draw(st.lists(st.floats(-0.6, 1.6), min_size=n * rdim, max_size=n * rdim))
+        ).reshape(n, rdim)
+        if draw(st.booleans()):
+            u = np.round(u * 8) / 8
+        marks.append((lo + u * (hi - lo), draw(st.integers(0, 6))))
+    return lo, hi, nx, ny, tau, marks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_marking_case())
+def test_raster_marking_matches_scatter(case):
+    lo, hi, nx, ny, tau, marks = case
+    grid = _RasterGrid(lo, hi, nx, ny, tau)
+    ref = grid.depth.copy()
+    for pts, word_len in marks:
+        grid.mark(pts, word_len)
+        _scatter_mark(ref, lo, hi, nx, ny, tau, pts, word_len)
+        assert np.array_equal(grid.depth, ref)
+
+
 def test_raster_resolution_warning(cantor_ifs, cantor_cloud):
     with pytest.warns(ResolutionWarning):
         fast_basin_raster(
@@ -173,6 +239,28 @@ def test_raster_pgm_and_csv(cantor_ifs, cantor_cloud):
     csv = ras.to_csv()
     assert csv.splitlines()[0] == "ix,iy,depth"
     assert len(csv.splitlines()) == 1 + ras.hit_count
+
+
+def test_raster_csv_bytes():
+    depth = np.full((3, 4), -1, dtype=np.int32)
+    depth[0, 1], depth[0, 3], depth[2, 0], depth[2, 2] = 2, 0, 11, 1
+    ras = Raster(lo=np.zeros(2), hi=np.ones(2), nx=4, ny=3, depth=depth)
+    assert ras.to_csv() == "ix,iy,depth\n1,0,2\n3,0,0\n0,2,11\n2,2,1\n"
+    ras.depth[:] = -1
+    assert ras.to_csv() == "ix,iy,depth\n"
+    # more hits than one formatting chunk, against a per-cell loop
+    rng = np.random.default_rng(3)
+    depth = rng.integers(0, 9, (90, 100)).astype(np.int32)
+    depth[rng.random((90, 100)) < 0.4] = -1
+    ras = Raster(lo=np.zeros(2), hi=np.ones(2), nx=100, ny=90, depth=depth)
+    rows = [
+        f"{ix},{iy},{depth[iy, ix]}\n"
+        for iy in range(90)
+        for ix in range(100)
+        if depth[iy, ix] >= 0
+    ]
+    assert len(rows) > 4096
+    assert ras.to_csv() == "ix,iy,depth\n" + "".join(rows)
 
 
 def test_prop_union_equivalence(cantor_ifs, cantor_cloud, interval_ifs, interval_cloud):

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -192,6 +194,47 @@ def test_hausdorff_matches_bruteforce(rng):
 def test_hausdorff_empty_error():
     with pytest.raises(DomainError):
         hausdorff_distance(np.empty((0, 1)), np.array([[1.0]]))
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_coding_map_stops_at_float_resolution():
+    # the sampled Lipschitz bounds of these prefixes ask for steps below
+    # float64 resolution, which no doubling of the word length reaches
+    from fbe.addresses import sigma
+
+    ifs = systems.mobius_arc()
+    addr = Address((1, 2, 1, -2), (1, 2, 2))
+    with _time_limit(1.0):
+        pi = coding_map(ifs, addr)
+    for n in (-2, -1, 1, 2):
+        with _time_limit(1.0):
+            lhs = coding_map(ifs, sigma(n, addr))
+        assert np.linalg.norm(lhs - ifs.transform(n, pi[None, :])[0]) <= 1e-7
+
+
+def test_verify_mobius_arc_seed_10():
+    # seed 10 draws the address of the test above
+    from fbe.verify import run_verify
+
+    ifs = systems.mobius_arc()
+    with _time_limit(30.0):
+        report = run_verify(ifs, cell=0.002, system_name="mobius_arc", rng_seed=10)
+    assert report.passed, report.lines()
 
 
 # -- dual ----------------------------------------------------------------------------
