@@ -9,13 +9,17 @@ sheet of the branched manifold being glued together.
 """
 
 import argparse
-import itertools
 from pathlib import Path
 
 import numpy as np
 
 from fbe import io, systems
-from fbe.basin import Raster, _RasterGrid, _raster_coords, fast_basin_raster
+from fbe.basin import (
+    _RasterGrid,
+    _raster_coords,
+    continuation_pullbacks,
+    fast_basin_raster,
+)
 from fbe.ifs import attractor
 
 
@@ -70,8 +74,8 @@ def render_triangle_continuations(out_dir: Path, fast: bool):
     for last in (1, 2, 3, 4):
         theta = prefix + (last,)
         g = _RasterGrid(region_lo, region_hi, grid, grid, tau=3 * cloud.epsilon)
-        for k in range(1, len(theta) + 1):
-            pts = ifs.apply_word(tuple(-d for d in theta[:k]), cloud.points)
+        pulls = continuation_pullbacks(ifs, cloud, theta, len(theta))
+        for k, pts in enumerate(pulls[1:], start=1):
             g.mark(_raster_coords(ifs, pts), k)
         ras = g.finalize()
         path = out_dir / f"triangle_continuation_sheet{last}.pgm"

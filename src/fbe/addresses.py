@@ -300,10 +300,6 @@ class SymbolicSet:
                 raise ValueError(f"word {w} has an adjacent cancellation")
 
     @classmethod
-    def from_words(cls, words, depth: int) -> "SymbolicSet":
-        return cls(frozenset(tuple(w)[:depth] for w in words), depth)
-
-    @classmethod
     def singleton(cls, addr: Address, depth: int) -> "SymbolicSet":
         return cls(frozenset([addr.prefix(depth)]), depth)
 

@@ -199,6 +199,25 @@ class _RasterGrid:
         return Raster(lo=self.lo, hi=self.hi, nx=self.nx, ny=self.ny, depth=depth)
 
 
+def _raster_grid(
+    cloud: AttractorCloud, region, nx: int, ny: int, depth: int, tau: float | None
+) -> _RasterGrid:
+    """The empty grid of a raster builder, after the checks both builders share."""
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
+    lo, hi = _normalize_region(region)
+    tau = cloud.tau if tau is None else tau
+    grid = _RasterGrid(lo, hi, nx, ny, tau)
+    if grid.widths.min() < tau:
+        # level 3 is the caller of the builder
+        warnings.warn(
+            "raster cells are smaller than the membership tolerance",
+            ResolutionWarning,
+            stacklevel=3,
+        )
+    return grid
+
+
 def fast_basin_raster(
     ifs: IfsSystem,
     cloud: AttractorCloud,
@@ -216,17 +235,7 @@ def fast_basin_raster(
     f_w(A) is in A, so each pulled cloud f_w^{-1}(cloud) comes back to
     the attractor.
     """
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    lo, hi = _normalize_region(region)
-    tau = cloud.tau if tau is None else tau
-    grid = _RasterGrid(lo, hi, nx, ny, tau)
-    if grid.widths.min() < tau:
-        warnings.warn(
-            "raster cells are smaller than the membership tolerance",
-            ResolutionWarning,
-            stacklevel=2,
-        )
+    grid = _raster_grid(cloud, region, nx, ny, depth, tau)
     stack = [(0, cloud.points)]
     while stack:
         word_len, pts = stack.pop()
@@ -249,18 +258,9 @@ def raster_from_continuations(
     """The same hit set as fast_basin_raster, computed the other way:
     as the union of finite continuations B_{theta|k} over positive words.
     """
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    lo, hi = _normalize_region(region)
-    tau = cloud.tau if tau is None else tau
-    grid = _RasterGrid(lo, hi, nx, ny, tau)
-    grid.mark(_raster_coords(ifs, cloud.points), 0)
-    for theta in itertools.product(range(1, ifs.n_maps + 1), repeat=depth):
-        for k in range(1, depth + 1):
-            # Only render theta|k once: skip prefixes shared with an
-            # earlier theta in lexicographic order.
-            if k < depth and any(d != 1 for d in theta[k:]):
-                continue
+    grid = _raster_grid(cloud, region, nx, ny, depth, tau)
+    for k in range(depth + 1):
+        for theta in itertools.product(range(1, ifs.n_maps + 1), repeat=k):
             pts = finite_continuation(ifs, cloud, theta, k).points
             grid.mark(_raster_coords(ifs, pts), k)
     return grid.finalize()

@@ -216,9 +216,18 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d_ab, d_ba))
 
 
-def _estimate_lam(ifs: IfsSystem, pts: np.ndarray) -> float:
-    region = pts if ifs.is_sphere else None
-    return ifs.lam(region)
+def _resolved_cloud(
+    ifs: IfsSystem, pts: np.ndarray, err: float, residual: float, meta: dict
+) -> AttractorCloud:
+    """The cloud with resolution err/(1-lam), or 4*err if not contractive.
+
+    Moebius lam is sampled at the cloud points.
+    """
+    lam = ifs.lam(pts if ifs.is_sphere else None)
+    contractive = lam < 1.0
+    eps = err / (1.0 - lam) if contractive else 4.0 * err
+    tail = {"lam": lam, "contractive": contractive, "residual": residual}
+    return AttractorCloud(pts, eps, {"ifs_hash": ifs.ifs_hash(), **meta, **tail})
 
 
 def attractor(
@@ -255,19 +264,8 @@ def attractor(
             f"no convergence after {used} iterations (residual {residual:.3g})",
             residual=residual,
         )
-    lam = _estimate_lam(ifs, pts)
-    contractive = lam < 1.0
-    eps = cell / (1.0 - lam) if contractive else 4.0 * cell
-    meta = {
-        "ifs_hash": ifs.ifs_hash(),
-        "method": "hutchinson",
-        "depth": used,
-        "cell": cell,
-        "lam": lam,
-        "contractive": contractive,
-        "residual": residual,
-    }
-    return AttractorCloud(pts, eps, meta)
+    meta = {"method": "hutchinson", "depth": used, "cell": cell}
+    return _resolved_cloud(ifs, pts, cell, residual, meta)
 
 
 def chaos_game(
@@ -300,21 +298,14 @@ def chaos_game(
         np.concatenate([ifs.transform(i, out) for i in range(1, ifs.n_maps + 1)]),
         out,
     )
-    lam = _estimate_lam(ifs, out)
-    contractive = lam < 1.0
-    eps = residual / (1.0 - lam) if contractive else 4.0 * residual
     meta = {
-        "ifs_hash": ifs.ifs_hash(),
         "method": "chaos",
         "n": n,
         "burn_in": burn_in,
         "rng": "PCG64",
         "rng_seed": rng_seed,
-        "lam": lam,
-        "contractive": contractive,
-        "residual": residual,
     }
-    return AttractorCloud(out, eps, meta)
+    return _resolved_cloud(ifs, out, residual, residual, meta)
 
 
 # -- coding map -----------------------------------------------------------------

@@ -96,9 +96,6 @@ class AffineMap:
         """Exact bound: the largest singular value."""
         return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
 
-    def min_singular(self) -> float:
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
-
     def fixed_point(self) -> np.ndarray:
         return np.linalg.solve(np.eye(self.dim) - self.matrix, self.offset)
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .addresses import Address
 from .basin import (
+    continuation_pullbacks,
     fast_basin_raster,
-    finite_continuation,
     membership,
     raster_from_continuations,
 )
@@ -31,6 +31,7 @@ from .manifold import (
     leaf_projection,
     manifold_point,
 )
+from .maps import to_sphere
 from .systems import default_seed
 
 
@@ -117,8 +118,6 @@ def run_verify(
         for n in range(1, ifs.n_maps + 1):
             pi = coding_map(ifs, Address((), (n,)), tol=1e-11)
             if ifs.is_sphere:
-                from .maps import to_sphere
-
                 fx = to_sphere(
                     np.array([ifs.maps[n - 1].attracting_fixed_point()])
                 )[0]
@@ -147,16 +146,17 @@ def run_verify(
         worst = 0.0
         for _ in range(12):
             theta = tuple(int(rng.integers(1, ifs.n_maps + 1)) for _ in range(4))
-            prev = finite_continuation(ifs, cloud, theta, 0).points
+            pulls = continuation_pullbacks(ifs, cloud, theta, 3)
             for k in range(1, 4):
-                cur = finite_continuation(ifs, cloud, theta, k).points
                 lip = ifs.word_lipschitz(tuple(-d for d in theta[:k]))
-                gap = float(cKDTree(cur).query(prev)[0].max())
+                gap = float(cKDTree(pulls[k]).query(pulls[k - 1])[0].max())
                 worst = max(worst, gap / max(lip, 1.0))
-                prev = cur
         return worst
 
     _timed(report, "continuation-nesting", "nested-union", tau, nesting)
+
+    # the word-tree raster that union-equivalence draws, for raster-membership
+    shared = {}
 
     def union_equiv():
         lo, hi = cloud.bounding_box()
@@ -181,40 +181,24 @@ def run_verify(
             warnings.simplefilter("ignore")
             a = fast_basin_raster(ifs, cloud, region, nx, ny, depth=2)
             b = raster_from_continuations(ifs, cloud, region, nx, ny, depth=2)
+        shared["raster"] = a
         return float(np.sum(a.depth != b.depth))
 
     _timed(report, "union-equivalence", "continuation-union", 0.0, union_equiv)
 
     def raster_membership():
-        if ifs.is_sphere:
-            region = (-2.5, -2.5, 2.5, 2.5)
-            nx = ny = 96
-        else:
-            lo, hi = cloud.bounding_box()
-            pad = 0.6 * float(np.max(hi - lo)) + tau
-            if ifs.dim == 1:
-                region = (float(lo[0] - pad), float(hi[0] + pad))
-                nx, ny = min(256, max(16, int((region[1] - region[0]) / tau))), 1
-            else:
-                region = (
-                    float(lo[0] - pad),
-                    float(lo[1] - pad),
-                    float(hi[0] + pad),
-                    float(hi[1] + pad),
-                )
-                nx = ny = min(64, max(16, int((region[2] - region[0]) / tau)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ras = fast_basin_raster(ifs, cloud, region, nx, ny, depth=2)
-        widths = (np.asarray(ras.hi) - np.asarray(ras.lo)) / np.array(
-            [nx, ny][: ras.lo.shape[0]]
-        )
+        if ifs.space == "R4":
+            # the raster is a projection to two coordinates: its cell
+            # centres are not points of the space
+            raise NotImplementedError
+        ras = shared["raster"]
+        rdim = ras.lo.shape[0]
+        widths = (ras.hi - ras.lo) / np.array([ras.nx, ras.ny][:rdim])
         wmax = float(widths.max())
         # a hit cell's witness point can sit in the far corner of the cell
         # inflated by tau: centre distance <= sqrt(dim) * (w/2 + tau);
         # sphere rasters live in plane coordinates, where the chordal
         # metric is smaller by at most a factor of 2
-        rdim = ras.lo.shape[0]
         tol = max(2 * wmax, np.sqrt(rdim) * (wmax / 2 + tau) + cloud.epsilon)
         if ifs.is_sphere:
             tol = max(2 * tol, tau)
@@ -222,10 +206,8 @@ def run_verify(
         idx = rng.choice(len(ys), size=min(25, len(ys)), replace=False)
         bad = 0
         for j in idx:
-            centre = ras.lo + (np.array([xs[j], ys[j]])[: ras.lo.shape[0]] + 0.5) * widths
+            centre = ras.lo + (np.array([xs[j], ys[j]])[:rdim] + 0.5) * widths
             if ifs.is_sphere:
-                from .maps import to_sphere
-
                 centre = to_sphere(np.array([complex(centre[0], centre[1])]))[0]
             res = membership(ifs, cloud, centre, depth=int(ras.depth[ys[j], xs[j]]), tol=tol)
             if not res.reached:
@@ -242,12 +224,7 @@ def run_verify(
             dab = manifold_distance(ifs, cloud, a, b)
             dac = manifold_distance(ifs, cloud, a, c)
             dcb = manifold_distance(ifs, cloud, c, b)
-            lip = max(
-                ifs.word_lipschitz(dab.common_prefix),
-                ifs.word_lipschitz(dac.common_prefix),
-                ifs.word_lipschitz(dcb.common_prefix),
-            )
-            slack = 4 * lip * eps
+            slack = 2 * max(dab.error_bound, dac.error_bound, dcb.error_bound)
             worst = max(worst, dab.d_L - dac.d_L - dcb.d_L - slack)
         return max(worst, 0.0)
 
@@ -264,8 +241,7 @@ def run_verify(
                 if ta[:k] != tb[:k]:
                     continue
                 d = manifold_distance(ifs, cloud, a, b)
-                lip = ifs.word_lipschitz(d.common_prefix)
-                worst = max(worst, abs(d.d_L - d.d_X) - 4 * lip * eps)
+                worst = max(worst, abs(d.d_L - d.d_X) - 2 * d.error_bound)
         return max(worst, 0.0)
 
     _timed(report, "same-sheet-isometry", "sheet-isometry", 0.0, same_sheet)
@@ -277,8 +253,7 @@ def run_verify(
             a = pts[int(rng.integers(0, len(pts)))]
             b = pts[int(rng.integers(0, len(pts)))]
             d = manifold_distance(ifs, cloud, a, b)
-            lip = ifs.word_lipschitz(d.common_prefix)
-            worst = max(worst, d.d_X - d.d_L - 4 * lip * eps)
+            worst = max(worst, d.d_X - d.d_L - 2 * d.error_bound)
         return max(worst, 0.0)
 
     _timed(

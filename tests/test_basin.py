@@ -222,10 +222,11 @@ def test_raster_marking_matches_scatter(case):
 
 
 def test_raster_resolution_warning(cantor_ifs, cantor_cloud):
-    with pytest.warns(ResolutionWarning):
-        fast_basin_raster(
-            cantor_ifs, cantor_cloud, (-3.0, 3.0), 500_000, 1, depth=0
-        )
+    for builder in (fast_basin_raster, raster_from_continuations):
+        with pytest.warns(ResolutionWarning) as record:
+            builder(cantor_ifs, cantor_cloud, (-3.0, 3.0), 500_000, 1, depth=0)
+        # the warning points at the builder's caller
+        assert record[0].filename == __file__
 
 
 def test_raster_pgm_and_csv(cantor_ifs, cantor_cloud):
@@ -268,10 +269,12 @@ def test_prop_union_equivalence(cantor_ifs, cantor_cloud, interval_ifs, interval
         (cantor_ifs, cantor_cloud, (-3.0, 3.0)),
         (interval_ifs, interval_cloud, (-4.0, 4.0)),
     ):
-        a = fast_basin_raster(ifs, cloud, region, 512, 1, depth=3)
-        b = raster_from_continuations(ifs, cloud, region, 512, 1, depth=3)
-        assert a.to_pgm() == b.to_pgm()
-        assert a.to_csv() == b.to_csv()
+        # depth 0 is the cloud itself, the empty word's continuation
+        for depth in (0, 1, 3):
+            a = fast_basin_raster(ifs, cloud, region, 512, 1, depth=depth)
+            b = raster_from_continuations(ifs, cloud, region, 512, 1, depth=depth)
+            assert a.to_pgm() == b.to_pgm()
+            assert a.to_csv() == b.to_csv()
 
 
 # -- membership -----------------------------------------------------------------------

@@ -231,6 +231,16 @@ def test_cli_verify_interval(tmp_path):
     )
 
 
+def test_cli_verify_r4_skips_raster_membership(tmp_path):
+    # an R4 raster is a projection: its cell centres are not points of the space
+    report = tmp_path / "report.json"
+    argv = ["verify", "--ifs", "quadratic_graph", "--cell", "0.125"]
+    assert main(argv + ["--json", str(report)]) == 0
+    status = {c["name"]: c["status"] for c in json.loads(report.read_text())}
+    assert status.pop("raster-membership-agreement") == "skip"
+    assert set(status.values()) == {"pass"}
+
+
 def test_cli_continuation(tmp_path, capsys):
     out = tmp_path / "cont.cloud"
     rc = main(

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import fbe.manifold
+from fbe import attractor, systems
 from fbe.addresses import parse_address
 from fbe.basin import fast_basin_raster
 from fbe.errors import AmbiguousMembershipError, DomainError
@@ -20,6 +21,7 @@ from fbe.manifold import (
     manifold_point,
     sigma_tilde,
 )
+from fbe.verify import _random_manifold_points
 
 from oracles import cantor_distance
 
@@ -102,6 +104,21 @@ def test_distance_same_sheet(interval_ifs, interval_cloud_fine, rng):
         d = distance(interval_ifs, cloud, a, b)
         lip = interval_ifs.word_lipschitz(d.common_prefix)
         assert abs(d.d_L - d.d_X) <= 4 * lip * cloud.epsilon
+
+
+@pytest.mark.parametrize("name, cell", [("sierpinski", 2.0**-7), ("mobius_arc", 0.002)])
+def test_distance_error_bound_is_verify_slack(name, cell):
+    # verify's metric checks take 2 * error_bound as their slack; it equals
+    # 4 * Lip(f_common) * eps bit for bit, as a power-of-two factor is exact
+    ifs = systems.by_name(name)
+    cloud = attractor(ifs, systems.default_seed(ifs), depth=200, cell=cell)
+    rng = np.random.Generator(np.random.PCG64(5))
+    pts = _random_manifold_points(ifs, cloud, rng, 30)
+    for a in pts:
+        for b in pts:
+            d = distance(ifs, cloud, a, b)
+            lip = ifs.word_lipschitz(d.common_prefix)
+            assert 2 * d.error_bound == 4 * lip * cloud.epsilon
 
 
 def test_distance_branch_pair(interval_ifs, interval_cloud_fine):
