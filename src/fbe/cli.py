@@ -28,7 +28,7 @@ from .addresses import (
     validate,
 )
 from .errors import FbeError
-from .ifs import IfsSystem, attractor, chaos_game, coding_map
+from .ifs import AttractorCloud, IfsSystem, attractor, chaos_game, coding_map
 from .verify import run_verify
 
 
@@ -117,10 +117,11 @@ def _cmd_continuation(args) -> int:
     theta = parse_address(args.theta)
     cont = basin.finite_continuation(ifs, cloud, theta, args.k)
     if args.out:
-        from .ifs import AttractorCloud
-
+        # H(f(X), f(Y)) <= Lip(f) H(X, Y): the inverse word scales epsilon
+        lip = ifs.word_lipschitz(tuple(-d for d in cont.theta_prefix))
+        eps = lip * cloud.epsilon
         io.cache_attractor(
-            ifs, AttractorCloud(cont.points, cloud.epsilon, dict(cloud.meta)), args.out
+            ifs, AttractorCloud(cont.points, eps, dict(cloud.meta)), args.out
         )
     lo = cont.points.min(axis=0)
     hi = cont.points.max(axis=0)

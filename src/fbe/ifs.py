@@ -6,7 +6,6 @@ Composition follows the convention f_{w} = f_{w_1} o f_{w_2} o ... o f_{w_k}
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -17,19 +16,11 @@ from scipy.spatial import cKDTree
 
 from .addresses import Address, positive_tail_index, sigma, validate
 from .errors import DomainError, NoConvergenceError
-from .maps import AffineMap, MoebiusMap, fibonacci_sphere, from_sphere, to_sphere
+from .maps import AffineMap, MoebiusMap, from_sphere, to_sphere
 
 SPACE_DIMS = {"R1": 1, "R2": 2, "R4": 4, "sphere": 3}
 
 Word = tuple[int, ...]
-
-
-@functools.cache
-def _whole_sphere_samples() -> np.ndarray:
-    """Complex values of a fixed quasi-uniform sample of the whole sphere."""
-    z = from_sphere(fibonacci_sphere(2048))
-    z.flags.writeable = False
-    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,49 +81,55 @@ class IfsSystem:
     def apply_word_point(self, word: Word, x) -> np.ndarray:
         return self.apply_word(word, np.atleast_2d(x))[0]
 
-    # -- Lipschitz estimates --------------------------------------------------
+    # -- Lipschitz bounds -----------------------------------------------------
 
     def map_lipschitz(self, digit: int, region: np.ndarray | None = None) -> float:
-        """Upper Lipschitz bound for one (possibly inverse) map.
+        """Lipschitz bound for one (possibly inverse) map.
 
-        Affine bounds are exact singular values; Moebius bounds are sampled
-        maxima of the chordal derivative and should be read as estimates.
+        Without a region the bound is exact: the largest singular value of
+        an affine matrix, sigma_max^2 of a det-1 Moebius matrix (the
+        supremum of its chordal derivative over the whole sphere). With a
+        region of sphere points, a Moebius bound is the largest chordal
+        derivative at those points, a sampled estimate.
         """
         self.check_digit(digit)
         m = self.map_for(digit)
-        if isinstance(m, AffineMap):
+        if region is None or isinstance(m, AffineMap):
             return m.lipschitz()
-        if region is None:
-            return m.lipschitz(_whole_sphere_samples())
-        return m.lipschitz(from_sphere(np.atleast_2d(region)))
+        z = from_sphere(np.atleast_2d(region))
+        return float(m.chordal_derivative(z).max())
 
-    def word_lipschitz(self, word: Word, region: np.ndarray | None = None) -> float:
+    def word_lipschitz(self, word: Word) -> float:
         out = 1.0
         for d in word:
-            out *= self.map_lipschitz(d, region)
+            out *= self.map_lipschitz(d)
         return out
 
     def lam(self, region: np.ndarray | None = None) -> float:
-        """Contraction factor: declared if present, else estimated."""
+        """Contraction factor: declared if present, else the largest map bound."""
         if self.contractivity is not None:
             return self.contractivity
         return max(self.map_lipschitz(i, region) for i in range(1, self.n_maps + 1))
 
     # -- base points in the basin ----------------------------------------------
 
+    def fixed_points(self) -> np.ndarray:
+        """Each map's attracting fixed point, as a point of the space."""
+        if self.is_sphere:
+            z = [m.attracting_fixed_point() for m in self.maps]
+            return to_sphere(np.array(z, dtype=complex))
+        return np.vstack([m.fixed_point() for m in self.maps])
+
     def base_points(self) -> np.ndarray:
         """Two (usually distinct) points in the basin, as embedded points."""
-        if self.is_sphere:
-            z1 = self.maps[0].attracting_fixed_point()
-            z2 = self.maps[-1].attracting_fixed_point()
-            if abs(z1 - z2) < 1e-12:
-                z2 = self.maps[-1].apply_complex(np.array([z1 + 0.25]))[0]
-            return np.vstack([to_sphere(np.array([z1])), to_sphere(np.array([z2]))])
-        p1 = self.maps[0].fixed_point()
-        p2 = self.maps[-1].fixed_point()
-        if np.linalg.norm(p1 - p2) < 1e-12:
-            p2 = p1 + 0.25
-        return np.vstack([p1, p2])
+        pts = self.fixed_points()[[0, -1]]
+        if np.linalg.norm(pts[0] - pts[1]) < 1e-12:
+            if self.is_sphere:
+                z = from_sphere(pts[:1]) + 0.25
+                pts[1] = to_sphere(self.maps[-1].apply_complex(z))[0]
+            else:
+                pts[1] = pts[0] + 0.25
+        return pts
 
     def dual(self) -> "IfsSystem":
         """The system of inverse maps, same digit order."""

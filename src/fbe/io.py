@@ -97,17 +97,16 @@ def save_spec(ifs: IfsSystem, path) -> None:
 # -- attractor caches ------------------------------------------------------------
 
 
-def cloud_to_text(cloud: AttractorCloud, ifs_hash: str) -> str:
-    lines = [
-        f"FBE-CLOUD v1 {ifs_hash} {cloud.epsilon:.17g} {cloud.points.shape[0]}"
-    ]
-    for row in cloud.points:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def cache_attractor(ifs: IfsSystem, cloud: AttractorCloud, path) -> None:
-    Path(path).write_text(cloud_to_text(cloud, ifs.ifs_hash()))
+    """Write the header line, then the rows 4096 at a time."""
+    pts = cloud.points
+    row = " ".join(["%.17g"] * pts.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(
+            f"FBE-CLOUD v1 {ifs.ifs_hash()} {cloud.epsilon:.17g} {pts.shape[0]}\n"
+        )
+        for s in range(0, pts.shape[0], 4096):
+            fh.write("".join(row % tuple(r) for r in pts[s : s + 4096].tolist()))
 
 
 def load_cached(path, ifs: IfsSystem | None = None) -> AttractorCloud:

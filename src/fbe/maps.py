@@ -158,14 +158,6 @@ class MoebiusMap:
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
 
@@ -185,9 +177,14 @@ class MoebiusMap:
         out[at_inf] = lim
         return out
 
-    def lipschitz(self, z_samples: np.ndarray) -> float:
-        """Sampled upper estimate of the chordal derivative over a region."""
-        return float(np.max(self.chordal_derivative(z_samples)))
+    def lipschitz(self) -> float:
+        """Exact bound: the largest singular value of the matrix, squared.
+
+        With v = (z, 1) the chordal derivative is |v|^2 / |Mv|^2, whose
+        supremum is 1/sigma_min^2 = sigma_max^2 for det M = 1. The bound is
+        >= 1, so it also bounds the Lipschitz constant of chord length.
+        """
+        return float(np.linalg.svd(self.matrix(), compute_uv=False)[0] ** 2)
 
     def fixed_points(self) -> list[complex]:
         """Solutions of c z^2 + (d - a) z - b = 0 (plus inf when c = 0)."""
@@ -220,12 +217,3 @@ class MoebiusMap:
             "c": [self.c.real, self.c.imag],
             "d": [self.d.real, self.d.imag],
         }
-
-
-def fibonacci_sphere(n: int = 2048) -> np.ndarray:
-    """Deterministic quasi-uniform sample of the unit sphere."""
-    i = np.arange(n, dtype=float)
-    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    r = np.sqrt(1.0 - z * z)
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ifs import IfsSystem
-from .maps import AffineMap, MoebiusMap, to_sphere
+from .maps import AffineMap, MoebiusMap
 
 
 def _aff1(scale: float, offset: float) -> AffineMap:
@@ -132,7 +132,4 @@ def by_name(name: str) -> IfsSystem:
 
 def default_seed(ifs: IfsSystem) -> np.ndarray:
     """Per-map fixed points: always inside the basin."""
-    if ifs.is_sphere:
-        pts = [m.attracting_fixed_point() for m in ifs.maps]
-        return to_sphere(np.array(pts, dtype=complex))
-    return np.vstack([m.fixed_point() for m in ifs.maps])
+    return ifs.fixed_points()

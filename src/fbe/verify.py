@@ -26,13 +26,13 @@ from .ifs import (
     verify_semiconjugacy,
 )
 from .manifold import (
+    _leaf_index,
     distance as manifold_distance,
     enumerate_leaves,
     leaf_projection,
     manifold_point,
 )
 from .maps import to_sphere
-from .systems import default_seed
 
 
 @dataclass
@@ -102,7 +102,7 @@ def run_verify(
     report = VerifyReport(system=system_name)
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     if cloud is None:
-        cloud = attractor(ifs, default_seed(ifs), depth=200, cell=cell)
+        cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=cell)
     eps, tau = cloud.epsilon, cloud.tau
 
     def invariance():
@@ -115,14 +115,8 @@ def run_verify(
 
     def fixed_points():
         worst = 0.0
-        for n in range(1, ifs.n_maps + 1):
+        for n, fx in enumerate(ifs.fixed_points(), start=1):
             pi = coding_map(ifs, Address((), (n,)), tol=1e-11)
-            if ifs.is_sphere:
-                fx = to_sphere(
-                    np.array([ifs.maps[n - 1].attracting_fixed_point()])
-                )[0]
-            else:
-                fx = ifs.maps[n - 1].fixed_point()
             worst = max(worst, float(np.linalg.norm(pi - fx)))
         return worst
 
@@ -261,29 +255,22 @@ def run_verify(
     )
 
     def leaf_shapes():
-        shapes = []
+        # pulled back by f_theta^{-1}, a leaf projection is the leaf set of
+        # its last digit (A itself for theta = ()) row for row; a row that
+        # drifts beyond 3 eps makes theta a shape of its own
+        shapes = set()
         for theta in enumerate_leaves(ifs.n_maps, 2):
             try:
                 pts = leaf_projection(ifs, cloud, theta)
             except EmptyLeafError:
                 continue
             back = ifs.apply_word(tuple(-d for d in reversed(theta)), pts)
-            shapes.append(back)
-        from scipy.spatial import cKDTree
-
-        # H(s, c) <= 3 eps iff each set lies within 3 eps of the other; a
-        # bounded query answers that without the full Hausdorff distance
-        trees = [cKDTree(s) for s in shapes]
-
-        def within(j, c):
-            d = trees[c].query(shapes[j], distance_upper_bound=6 * eps)[0]
-            return bool(np.all(d <= 3 * eps))
-
-        clusters: list[int] = []
-        for j in range(len(shapes)):
-            if not any(within(j, c) and within(c, j) for c in clusters):
-                clusters.append(j)
-        return float(max(0, len(clusters) - (ifs.n_maps + 1)))
+            base = cloud.points
+            if theta:
+                base = base[_leaf_index(ifs, cloud, -theta[-1])[1]]
+            drift = float(np.linalg.norm(back - base, axis=1).max())
+            shapes.add(theta[-1:] if drift <= 3 * eps else theta)
+        return float(max(0, len(shapes) - (ifs.n_maps + 1)))
 
     _timed(report, "leaf-shape-count", "leaf-classification", 0.0, leaf_shapes)
 

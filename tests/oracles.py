@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 Q = Fraction
 
 
@@ -130,3 +132,18 @@ def binary_orbit_has_one_forever(x: Q, depth: int) -> bool:
                 new.append(fy)
         frontier = new
     return True
+
+
+def sierpinski_vertices(level: int) -> np.ndarray:
+    """Integer coordinates (scale 2^level) of the vertices of every triangle
+    of that level of the gasket on (0,0), (1,0), (0,1).
+
+    The maps are (x + v)/2, so at scale 2^(k+1) the level-(k+1) vertex set
+    is the level-k set shifted by v * 2^k for each corner v; the integers
+    keep it exact.
+    """
+    pts = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
+    corners = pts.copy()
+    for k in range(level):
+        pts = np.unique(np.concatenate([pts + v * 2**k for v in corners]), axis=0)
+    return pts

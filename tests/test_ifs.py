@@ -68,6 +68,22 @@ def test_inverse_lipschitz(cantor_ifs):
     assert cantor_ifs.map_lipschitz(-1) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("name", ["mobius_arc", "projective_line", "schottky"])
+def test_moebius_lipschitz_is_the_chordal_maximum(name):
+    # with v = (z, 1) the chordal derivative is |v|^2 / |Mv|^2: it peaks at
+    # the right singular vector of sigma_min
+    ifs = systems.by_name(name)
+    g = np.random.Generator(np.random.PCG64(11)).normal(size=(100_000, 3))
+    z = from_sphere(g / np.linalg.norm(g, axis=1, keepdims=True))
+    for d in [d for d in range(-ifs.n_maps, ifs.n_maps + 1) if d != 0]:
+        m = ifs.map_for(d)
+        lip = ifs.map_lipschitz(d)
+        v = np.linalg.svd(m.matrix())[2][-1].conj()
+        peak = m.chordal_derivative(np.array([v[0] / v[1]]))[0]
+        assert lip == pytest.approx(peak, rel=1e-12)
+        assert lip >= m.chordal_derivative(z).max()
+
+
 # -- attractor -----------------------------------------------------------------------
 
 
@@ -121,6 +137,15 @@ def test_chaos_game_deterministic(cantor_ifs):
     assert np.array_equal(a.points, b.points)
     c = chaos_game(cantor_ifs, 2000, burn_in=10, rng_seed=43)
     assert not np.array_equal(a.points, c.points)
+
+
+def test_chaos_game_sphere():
+    ifs = systems.mobius_arc()
+    orbit = chaos_game(ifs, 5000, rng_seed=0)
+    assert np.allclose(np.linalg.norm(orbit.points, axis=1), 1.0)
+    cloud = attractor(ifs, systems.default_seed(ifs), depth=200, cell=0.002)
+    bound = orbit.epsilon + cloud.epsilon
+    assert hausdorff_distance(orbit.points, cloud.points) <= bound
 
 
 def test_chaos_game_single_map():

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from fbe import io, systems
 from fbe.cli import main
 from fbe.errors import NonInvertibleMapError, SpecFormatError, StaleCacheError
-from fbe.ifs import attractor
+from fbe.ifs import AttractorCloud, attractor
 
 
 @pytest.fixture()
@@ -99,6 +101,24 @@ def test_cache_concurrent_reads(tmp_path, cantor_ifs, cantor_cloud):
         t.join()
     for r in results:
         assert np.array_equal(r.points, cantor_cloud.points)
+
+
+def test_cache_bytes_and_round_trip(tmp_path, sierpinski_ifs):
+    # more rows than one write chunk, with values whose shortest round-trip
+    # text differs from their 17-digit text
+    edge = [-0.0, 5e-324, 1e-5, np.pi, -2.5e300, 1 / 3]
+    rng = np.random.Generator(np.random.PCG64(4))
+    pts = rng.normal(size=(5000, 2))
+    pts[4093:4099] = np.array([edge, edge[::-1]]).T  # across the first chunk end
+    cloud = AttractorCloud(pts, 1 / 7)
+    path = tmp_path / "c.cloud"
+    io.cache_attractor(sierpinski_ifs, cloud, path)
+    lines = [f"FBE-CLOUD v1 {sierpinski_ifs.ifs_hash()} {1 / 7:.17g} 5000"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in pts]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    loaded = io.load_cached(path, sierpinski_ifs)
+    assert np.array_equal(loaded.points, pts) and loaded.epsilon == 1 / 7
+    assert np.signbit(loaded.points[4093, 0])
 
 
 def test_cache_header_format(tmp_path, cantor_ifs, cantor_cloud):
@@ -229,6 +249,13 @@ def test_cli_verify_interval(tmp_path):
     assert {"name", "tag", "status", "residual", "tolerance", "runtime"} <= set(
         checks[0]
     )
+    # the benchmark reads a missing check as 0.0, so its list must follow
+    # the report's names and order
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spec.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spec", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert tuple(c["name"] for c in checks) == bench.VERIFY_CHECKS
 
 
 def test_cli_verify_r4_skips_raster_membership(tmp_path):
@@ -260,6 +287,10 @@ def test_cli_continuation(tmp_path, capsys):
     assert "k=3" in capsys.readouterr().out
     header = out.read_text().splitlines()[0]
     assert header.startswith("FBE-CLOUD v1")
+    # three inverse maps of Lipschitz constant 2 scale the resolution by 8
+    ifs = systems.interval()
+    cloud = attractor(ifs, systems.default_seed(ifs), depth=200, cell=1e-3)
+    assert float(header.split()[3]) == 8 * cloud.epsilon
 
 
 def test_cli_manifold_branch(capsys):

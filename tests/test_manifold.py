@@ -21,7 +21,8 @@ from fbe.manifold import (
     manifold_point,
     sigma_tilde,
 )
-from fbe.verify import _random_manifold_points
+from fbe.maps import AffineMap
+from fbe.verify import _random_manifold_points, run_verify
 
 from oracles import cantor_distance
 
@@ -319,6 +320,24 @@ def test_leaf_shape_count(interval_ifs, interval_cloud, cantor_ifs, cantor_cloud
             if not any(hausdorff_distance(s, c) <= 3 * cloud.epsilon for c in clusters):
                 clusters.append(s)
         assert len(clusters) == 3  # A, A minus f_1(A), A minus f_2(A)
+
+
+def test_verify_leaf_shape_count_sees_drift():
+    # an inverse map that no longer undoes its map moves pulled-back leaf
+    # shapes off their leaf sets
+    ifs = systems.interval()
+    cloud = attractor(ifs, systems.default_seed(ifs), cell=0.002)
+
+    def leaf_check(ifs):
+        report = run_verify(ifs, cloud, cell=0.002)
+        return next(c for c in report.checks if c.name == "leaf-shape-count")
+
+    assert leaf_check(ifs).status == "pass"
+    inv = ifs.map_for(-1)
+    shifted = AffineMap(inv.matrix, inv.offset + 0.1)
+    object.__setattr__(ifs, "_inverses", (shifted,) + ifs._inverses[1:])
+    check = leaf_check(ifs)
+    assert check.status == "fail" and check.residual > 0
 
 
 # -- leaf index ---------------------------------------------------------------------

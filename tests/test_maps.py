@@ -6,7 +6,6 @@ from fbe.maps import (
     AffineMap,
     MoebiusMap,
     chordal_distance,
-    fibonacci_sphere,
     from_sphere,
     to_sphere,
 )
@@ -90,8 +89,3 @@ def test_chordal_derivative_finite_at_pole_and_infinity():
     pole = -m.d / m.c
     vals = m.chordal_derivative(np.array([pole, complex(np.inf, 0)]))
     assert np.all(np.isfinite(vals))
-
-
-def test_fibonacci_sphere_on_sphere():
-    pts = fibonacci_sphere(128)
-    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
