@@ -45,7 +45,7 @@ def _get_cloud(ifs: IfsSystem, cell: float, depth: int = 200):
     cache_path = io.cached_attractor_path(ifs, cell)
     if cache_path is not None and cache_path.exists():
         return io.load_cached(cache_path, ifs)
-    cloud = attractor(ifs, systems.default_seed(ifs), depth=depth, cell=cell)
+    cloud = attractor(ifs, ifs.fixed_points(), depth=depth, cell=cell)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         io.cache_attractor(ifs, cloud, cache_path)

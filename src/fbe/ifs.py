@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .addresses import Address, positive_tail_index, sigma, validate
-from .errors import DomainError, NoConvergenceError
+from .errors import DomainError, NoConvergenceError, ResolutionError
 from .maps import AffineMap, MoebiusMap, from_sphere, to_sphere
 
 SPACE_DIMS = {"R1": 1, "R2": 2, "R4": 4, "sphere": 3}
@@ -27,7 +27,6 @@ Word = tuple[int, ...]
 class IfsSystem:
     space: str
     maps: tuple
-    contractivity: float | None = None
 
     def __post_init__(self):
         if self.space not in SPACE_DIMS:
@@ -106,9 +105,7 @@ class IfsSystem:
         return out
 
     def lam(self, region: np.ndarray | None = None) -> float:
-        """Contraction factor: declared if present, else the largest map bound."""
-        if self.contractivity is not None:
-            return self.contractivity
+        """Contraction factor: the largest map bound."""
         return max(self.map_lipschitz(i, region) for i in range(1, self.n_maps + 1))
 
     # -- base points in the basin ----------------------------------------------
@@ -214,7 +211,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _resolved_cloud(
-    ifs: IfsSystem, pts: np.ndarray, err: float, residual: float, meta: dict
+    ifs: IfsSystem, pts: np.ndarray, err: float, meta: dict
 ) -> AttractorCloud:
     """The cloud with resolution err/(1-lam), or 4*err if not contractive.
 
@@ -223,8 +220,26 @@ def _resolved_cloud(
     lam = ifs.lam(pts if ifs.is_sphere else None)
     contractive = lam < 1.0
     eps = err / (1.0 - lam) if contractive else 4.0 * err
-    tail = {"lam": lam, "contractive": contractive, "residual": residual}
+    tail = {"lam": lam, "contractive": contractive}
     return AttractorCloud(pts, eps, {"ifs_hash": ifs.ifs_hash(), **meta, **tail})
+
+
+# The most image points one step of `attractor` may make: admits triangle
+# at cell 1e-3 (2,005,084) and stops expanding systems before memory does.
+MAX_IMAGE_POINTS = 1 << 22
+
+
+def _snapped_step(ifs: IfsSystem, pts: np.ndarray, cell: float) -> np.ndarray:
+    """S(X) = grid_dedup(F(X), cell), refused past MAX_IMAGE_POINTS images."""
+    rows = ifs.n_maps * pts.shape[0]
+    if rows > MAX_IMAGE_POINTS:
+        raise ResolutionError(
+            f"a step would make {rows} points, cap {MAX_IMAGE_POINTS}, cell {cell:g}"
+        )
+    return grid_dedup(
+        np.concatenate([ifs.transform(i, pts) for i in range(1, ifs.n_maps + 1)]),
+        cell,
+    )
 
 
 def attractor(
@@ -233,36 +248,46 @@ def attractor(
     depth: int = 80,
     cell: float = 1e-3,
 ) -> AttractorCloud:
-    """Hutchinson iteration with grid dedup at `cell`.
+    """Iterate S(X) = grid_dedup(F(X), cell) until a set repeats; return
+    the union U of the cycle, so that S(U) = U exactly.
 
-    Stops once successive clouds are within `cell` in Hausdorff distance;
-    raises NoConvergenceError (carrying the last residual) if `depth`
-    iterations do not get there. The recorded resolution cell/(1-lam)
-    covers the stationary error: the per-step snapping displacement is at
-    most cell*sqrt(d)/2 <= cell for d <= 4.
+    S maps a finite grid into itself, so the orbit ends in a fixed point or
+    a cycle (Dubuc & Elqortobi 1990). A repeat is found by sha256 and
+    confirmed by exact comparison. Snapping moves a point by at most
+    delta = cell*sqrt(d)/2 <= cell (d <= 4), so with Lip(F) <= lam,
+    H(U, A) <= H(S(U), F(U)) + H(F(U), F(A)) <= delta + lam * H(U, A)
+    and epsilon = cell/(1 - lam) bounds H(U, A). Raises NoConvergenceError,
+    carrying H(last, previous), if no set repeats within `depth` steps, and
+    ResolutionError if a step would make more than MAX_IMAGE_POINTS points.
     """
     pts = grid_dedup(np.atleast_2d(np.asarray(seed, dtype=float)), cell)
-    residual = np.inf
-    used = 0
-    converged = False
-    for it in range(depth):
-        imgs = np.concatenate(
-            [ifs.transform(i, pts) for i in range(1, ifs.n_maps + 1)]
-        )
-        new = grid_dedup(imgs, cell)
-        residual = hausdorff_distance(new, pts)
-        pts = new
-        used = it + 1
-        if residual <= cell:
-            converged = True
+    seen: dict[bytes, int] = {}
+    prev, steps = None, 0
+    while True:
+        period = steps - seen.setdefault(hashlib.sha256(pts).digest(), steps)
+        if period == 1 and np.array_equal(pts, prev):
             break
-    if not converged:
-        raise NoConvergenceError(
-            f"no convergence after {used} iterations (residual {residual:.3g})",
-            residual=residual,
-        )
-    meta = {"method": "hutchinson", "depth": used, "cell": cell}
-    return _resolved_cloud(ifs, pts, cell, residual, meta)
+        if period > 1:
+            cycle = [pts]
+            for _ in range(period):
+                cycle.append(_snapped_step(ifs, cycle[-1], cell))
+            steps += period
+            prev, pts = cycle[-2:]
+            if np.array_equal(pts, cycle[0]):
+                pts = grid_dedup(np.concatenate(cycle[:-1]), cell)
+                break
+        elif steps == depth:
+            residual = np.inf if prev is None else hausdorff_distance(pts, prev)
+            raise NoConvergenceError(
+                f"no repeated set after {steps} iterations (residual {residual:.3g})",
+                residual=residual,
+            )
+        else:
+            prev = pts  # the older set is freed before the step, not after it
+            pts = _snapped_step(ifs, prev, cell)
+            steps += 1
+    meta = {"method": "hutchinson", "depth": steps, "cell": cell, "cycle": period}
+    return _resolved_cloud(ifs, pts, cell, meta)
 
 
 def chaos_game(
@@ -301,8 +326,9 @@ def chaos_game(
         "burn_in": burn_in,
         "rng": "PCG64",
         "rng_seed": rng_seed,
+        "residual": residual,
     }
-    return _resolved_cloud(ifs, out, residual, residual, meta)
+    return _resolved_cloud(ifs, out, residual, meta)
 
 
 # -- coding map -----------------------------------------------------------------

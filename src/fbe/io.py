@@ -70,12 +70,7 @@ def parse_spec(data: dict) -> IfsSystem:
                 ) from None
         else:
             raise SpecFormatError(f"map {idx}: unknown type {kind!r}")
-    lams = []
-    for m in maps:
-        if isinstance(m, AffineMap):
-            lams.append(m.lipschitz())
-    contractivity = max(lams) if lams and max(lams) < 1.0 else None
-    return IfsSystem(space, tuple(maps), contractivity)
+    return IfsSystem(space, tuple(maps))
 
 
 def load_spec(path) -> IfsSystem:

@@ -49,12 +49,6 @@ class ManifoldPoint:
     x: np.ndarray
     proj: np.ndarray
 
-    def same_point(self, other: "ManifoldPoint", tau: float) -> bool:
-        """Quotient equality: equal integer parts, fractional parts within tau."""
-        return self.theta == other.theta and (
-            float(np.linalg.norm(self.x - other.x)) <= tau
-        )
-
     def __repr__(self):
         theta = ".".join(str(d) for d in self.theta) or "()"
         return f"ManifoldPoint(theta={theta}, x={np.round(self.x, 6)})"

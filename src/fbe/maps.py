@@ -51,10 +51,6 @@ def from_sphere(pts: np.ndarray) -> np.ndarray:
     return z
 
 
-def chordal_distance(z: complex, w: complex) -> float:
-    return float(np.linalg.norm(to_sphere(np.array([z]))[0] - to_sphere(np.array([w]))[0]))
-
-
 # -- affine maps ---------------------------------------------------------------
 
 
@@ -84,13 +80,6 @@ class AffineMap:
     def inverse(self) -> "AffineMap":
         inv = np.linalg.inv(self.matrix)
         return AffineMap(inv, -inv @ self.offset)
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: x -> self(other(x))."""
-        return AffineMap(
-            self.matrix @ other.matrix,
-            self.matrix @ other.offset + self.offset,
-        )
 
     def lipschitz(self) -> float:
         """Exact bound: the largest singular value."""

@@ -14,12 +14,12 @@ def _aff1(scale: float, offset: float) -> AffineMap:
 
 def cantor() -> IfsSystem:
     """{x/3, x/3 + 2/3} on the line; attractor is the middle-thirds set."""
-    return IfsSystem("R1", (_aff1(1 / 3, 0.0), _aff1(1 / 3, 2 / 3)), 1 / 3)
+    return IfsSystem("R1", (_aff1(1 / 3, 0.0), _aff1(1 / 3, 2 / 3)))
 
 
 def interval() -> IfsSystem:
     """{x/2, x/2 + 1/2} on the line; attractor is [0, 1]."""
-    return IfsSystem("R1", (_aff1(0.5, 0.0), _aff1(0.5, 0.5)), 0.5)
+    return IfsSystem("R1", (_aff1(0.5, 0.0), _aff1(0.5, 0.5)))
 
 
 def sierpinski(a=(0.0, 0.0), b=(1.0, 0.0), c=(0.0, 1.0)) -> IfsSystem:
@@ -28,7 +28,7 @@ def sierpinski(a=(0.0, 0.0), b=(1.0, 0.0), c=(0.0, 1.0)) -> IfsSystem:
     maps = tuple(
         AffineMap(half, 0.5 * np.asarray(v, dtype=float)) for v in (a, b, c)
     )
-    return IfsSystem("R2", maps, 0.5)
+    return IfsSystem("R2", maps)
 
 
 def koch() -> IfsSystem:
@@ -36,7 +36,7 @@ def koch() -> IfsSystem:
     s = 1.0 / (2.0 * np.sqrt(3.0))
     m1 = AffineMap(np.array([[0.5, s], [s, -0.5]]), np.array([-1.0, 0.0]))
     m2 = AffineMap(np.array([[0.5, -s], [-s, -0.5]]), np.array([1.0, 0.0]))
-    return IfsSystem("R2", (m1, m2), 1.0 / np.sqrt(3.0))
+    return IfsSystem("R2", (m1, m2))
 
 
 def interpolation() -> IfsSystem:
@@ -128,8 +128,3 @@ def by_name(name: str) -> IfsSystem:
         raise KeyError(
             f"unknown system {name!r}; choose from {sorted(SYSTEMS)}"
         ) from None
-
-
-def default_seed(ifs: IfsSystem) -> np.ndarray:
-    """Per-map fixed points: always inside the basin."""
-    return ifs.fixed_points()

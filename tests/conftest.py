@@ -27,29 +27,29 @@ def koch_ifs():
 @pytest.fixture(scope="session")
 def cantor_cloud(cantor_ifs):
     # cell 3^-8: 256 points, eps = 1.5 * 3^-8
-    return attractor(cantor_ifs, systems.default_seed(cantor_ifs), cell=3.0**-8)
+    return attractor(cantor_ifs, cantor_ifs.fixed_points(), cell=3.0**-8)
 
 
 @pytest.fixture(scope="session")
 def cantor_cloud_fine(cantor_ifs):
     # cell 3^-11: tau = 4.5 * 3^-11 < 3^-6, needed by the membership checks
-    return attractor(cantor_ifs, systems.default_seed(cantor_ifs), cell=3.0**-11)
+    return attractor(cantor_ifs, cantor_ifs.fixed_points(), cell=3.0**-11)
 
 
 @pytest.fixture(scope="session")
 def interval_cloud(interval_ifs):
-    return attractor(interval_ifs, systems.default_seed(interval_ifs), cell=2.0**-10)
+    return attractor(interval_ifs, interval_ifs.fixed_points(), cell=2.0**-10)
 
 
 @pytest.fixture(scope="session")
 def interval_cloud_fine(interval_ifs):
-    return attractor(interval_ifs, systems.default_seed(interval_ifs), cell=2.0**-13)
+    return attractor(interval_ifs, interval_ifs.fixed_points(), cell=2.0**-13)
 
 
 @pytest.fixture(scope="session")
 def sierpinski_cloud(sierpinski_ifs):
     return attractor(
-        sierpinski_ifs, systems.default_seed(sierpinski_ifs), cell=2.0**-7
+        sierpinski_ifs, sierpinski_ifs.fixed_points(), cell=2.0**-7
     )
 
 

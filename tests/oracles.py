@@ -4,7 +4,9 @@ Everything here is written against the defining digit structure of the
 example systems (ternary digits for the middle-thirds set, dyadic
 intervals for the binary interval system) and never calls the library's
 own geometry kernels, so tolerance artifacts in the implementation
-cannot silently pass.
+cannot silently pass. The one exception, `chordal_distance`, measures
+through the library's sphere embedding on purpose: tests check that
+embedding against the closed-form chordal metric.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from fbe.maps import to_sphere
 
 Q = Fraction
 
@@ -147,3 +151,43 @@ def sierpinski_vertices(level: int) -> np.ndarray:
     for k in range(level):
         pts = np.unique(np.concatenate([pts + v * 2**k for v in corners]), axis=0)
     return pts
+
+
+def chordal_distance(z: complex, w: complex) -> float:
+    """Distance of the sphere images of two complex values."""
+    return float(np.linalg.norm(to_sphere(np.array([z]))[0] - to_sphere(np.array([w]))[0]))
+
+
+def certified_cover(ifs, delta: float) -> np.ndarray:
+    """Points P of the attractor of an affine system with every point of
+    the attractor within delta of P (Hepting, Prusinkiewicz & Saupe 1991).
+
+    Reads only the maps' matrices and offsets: no grid, no iteration, no
+    contraction factor of the library. The ball B(c, r) with
+    r = max_i |f_i(c) - c| / (1 - sigma_max(A_i)) is sent into itself by
+    every map, so it holds the attractor A, and f_w(A) lies in a ball of
+    diameter 2 * sigma_max(M_w) * r, M_w the matrix of f_w. A word is split
+    while that diameter exceeds delta; each leaf emits f_w(p), p the fixed
+    point of f_1, which lies on f_w(A).
+    """
+    mats = [np.asarray(m.matrix, dtype=float) for m in ifs.maps]
+    offs = [np.asarray(m.offset, dtype=float) for m in ifs.maps]
+    d = len(offs[0])
+    fixed = [np.linalg.solve(np.eye(d) - a, b) for a, b in zip(mats, offs)]
+    c = np.mean(fixed, axis=0)
+    sig = [np.linalg.svd(a, compute_uv=False)[0] for a in mats]
+    assert max(sig) < 1.0, "the cover needs every map to contract"
+    r = max(np.linalg.norm(a @ c + b - c) / (1 - s) for a, b, s in zip(mats, offs, sig))
+    p = fixed[0]
+    # f_w(x) = M x + t for every open word; f_{wi} = f_w o f_i
+    m, t = np.eye(d)[None], np.zeros((1, d))
+    leaves = []
+    while len(m):
+        split = 2 * np.linalg.svd(m, compute_uv=False)[:, 0] * r > delta
+        leaves.append(m[~split] @ p + t[~split])
+        m, t = m[split], t[split]
+        m, t = (
+            np.concatenate([m @ a for a in mats]),
+            np.concatenate([m @ b + t for b in offs]),
+        )
+    return np.concatenate(leaves)

@@ -132,7 +132,7 @@ def test_raster_sierpinski_translates(sierpinski_ifs, sierpinski_cloud, rng):
 
 @pytest.fixture(scope="module")
 def koch_cloud(koch_ifs):
-    return attractor(koch_ifs, systems.default_seed(koch_ifs), depth=300, cell=2.0**-7)
+    return attractor(koch_ifs, koch_ifs.fixed_points(), depth=300, cell=2.0**-7)
 
 
 @settings(max_examples=150, deadline=None)
@@ -414,7 +414,7 @@ def test_membership_on_sphere():
     from fbe.ifs import attractor
 
     ifs = systems.mobius_arc()
-    cloud = attractor(ifs, systems.default_seed(ifs), depth=300, cell=1e-3)
+    cloud = attractor(ifs, ifs.fixed_points(), depth=300, cell=1e-3)
     target = ifs.apply_word((-2, -1), cloud.points[128][None, :])[0]
     res = membership(ifs, cloud, target, depth=3, tol=cloud.tau)
     assert res.reached

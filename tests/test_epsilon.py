@@ -18,7 +18,12 @@ from fbe import systems
 from fbe.ifs import attractor
 from fbe.maps import to_sphere
 
-from oracles import cantor_distance, cantor_level_points, sierpinski_vertices
+from oracles import (
+    cantor_distance,
+    cantor_level_points,
+    certified_cover,
+    sierpinski_vertices,
+)
 
 
 def _one_sided(a: np.ndarray, b: np.ndarray) -> float:
@@ -32,7 +37,7 @@ def _hausdorff_bound(cloud, s: np.ndarray, r: float) -> float:
 
 def _cloud(name: str, cell: float):
     ifs = systems.by_name(name)
-    return attractor(ifs, systems.default_seed(ifs), depth=200, cell=cell)
+    return attractor(ifs, ifs.fixed_points(), depth=200, cell=cell)
 
 
 def test_interval_epsilon_against_unit_interval():
@@ -74,3 +79,24 @@ def test_sierpinski_epsilon_against_vertex_set(cell):
     s = sierpinski_vertices(level) / 2.0**level
     r = np.sqrt(2.0) * 2.0**-level
     assert _hausdorff_bound(cloud, s, r) <= cloud.epsilon
+
+
+@pytest.mark.parametrize(
+    "name, cell",
+    [
+        ("koch", 2.0**-7),
+        ("koch", 2.0**-8),
+        ("interpolation", 2.0**-7),
+        ("triangle", 2.0**-6),
+        ("quadratic_graph", 1 / 16),
+        ("sierpinski", 2.0**-9),  # cross-check with the vertex-set oracle
+    ],
+)
+def test_affine_epsilon_against_certified_cover(name, cell):
+    # every point of A lies within delta of the cover P, and P lies on A,
+    # so H(cloud, A) <= H(cloud, P) + delta
+    cloud = _cloud(name, cell)
+    delta = cloud.epsilon / 4
+    p = certified_cover(systems.by_name(name), delta)
+    h = max(_one_sided(cloud.points, p), _one_sided(p, cloud.points))
+    assert h + delta <= cloud.epsilon

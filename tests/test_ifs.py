@@ -5,14 +5,16 @@ import signal
 import numpy as np
 import pytest
 
+import fbe.ifs
 from fbe import systems
 from fbe.addresses import Address, parse_address
-from fbe.errors import DomainError, NoConvergenceError
+from fbe.errors import DomainError, NoConvergenceError, ResolutionError
 from fbe.ifs import (
     IfsSystem,
     attractor,
     chaos_game,
     coding_map,
+    grid_dedup,
     hausdorff_distance,
     random_address,
     verify_semiconjugacy,
@@ -95,23 +97,54 @@ def test_attractor_cantor_vs_level_cover(cantor_ifs):
 
 def test_attractor_interval_gaps(interval_ifs):
     cell = 2.0**-9
-    cloud = attractor(interval_ifs, systems.default_seed(interval_ifs), cell=cell)
+    cloud = attractor(interval_ifs, interval_ifs.fixed_points(), cell=cell)
     xs = np.sort(cloud.points[:, 0])
     assert xs[0] <= 2 * cell and xs[-1] >= 1 - 2 * cell
     assert np.max(np.diff(xs)) <= 2 * cell
 
 
 def test_attractor_single_map():
-    ifs = IfsSystem("R1", (AffineMap(np.array([[0.5]]), np.array([0.0])),), 0.5)
+    ifs = IfsSystem("R1", (AffineMap(np.array([[0.5]]), np.array([0.0])),))
     cloud = attractor(ifs, np.array([[1.0]]), cell=1e-3)
     assert np.abs(cloud.points).max() <= 1e-3
 
 
 def test_attractor_no_convergence():
-    ifs = IfsSystem("R1", (AffineMap(np.array([[0.5]]), np.array([0.0])),), 0.5)
+    ifs = IfsSystem("R1", (AffineMap(np.array([[0.5]]), np.array([0.0])),))
     with pytest.raises(NoConvergenceError) as ei:
         attractor(ifs, np.array([[1.0]]), depth=2, cell=1e-9)
     assert ei.value.residual is not None
+
+
+@pytest.mark.parametrize("name", sorted(systems.SYSTEMS))
+def test_attractor_is_exact_fixed_point(name):
+    # S(U) = grid_dedup(F(U), cell) returns the cloud bit for bit
+    cell = {"cantor": 3.0**-8, "triangle": 2.0**-6, "quadratic_graph": 1 / 16}
+    cell = cell.get(name, 2.0**-7)
+    ifs = systems.by_name(name)
+    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=cell)
+    imgs = np.concatenate(
+        [ifs.transform(i, cloud.points) for i in range(1, ifs.n_maps + 1)]
+    )
+    again = grid_dedup(imgs, cell)
+    assert again.shape == cloud.points.shape
+    assert again.tobytes() == cloud.points.tobytes()
+
+
+def test_attractor_koch_two_cycle(koch_ifs):
+    cloud = attractor(koch_ifs, koch_ifs.fixed_points(), depth=200, cell=2.0**-8)
+    assert cloud.meta["cycle"] == 2
+    with _time_limit(30.0):
+        cloud = attractor(koch_ifs, koch_ifs.fixed_points(), depth=200, cell=1e-3)
+    assert cloud.meta["cycle"] == 2
+
+
+def test_attractor_refuses_runaway_growth(monkeypatch):
+    monkeypatch.setattr(fbe.ifs, "MAX_IMAGE_POINTS", 10_000)
+    double = [AffineMap(np.array([[2.0]]), np.array([t])) for t in (0.0, 1.0)]
+    ifs = IfsSystem("R1", tuple(double))
+    with _time_limit(1.0), pytest.raises(ResolutionError, match="10000"):
+        attractor(ifs, ifs.fixed_points(), depth=200, cell=1e-3)
 
 
 def test_attractor_f_invariance(cantor_cloud, cantor_ifs, sierpinski_cloud, sierpinski_ifs):
@@ -143,13 +176,13 @@ def test_chaos_game_sphere():
     ifs = systems.mobius_arc()
     orbit = chaos_game(ifs, 5000, rng_seed=0)
     assert np.allclose(np.linalg.norm(orbit.points, axis=1), 1.0)
-    cloud = attractor(ifs, systems.default_seed(ifs), depth=200, cell=0.002)
+    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=0.002)
     bound = orbit.epsilon + cloud.epsilon
     assert hausdorff_distance(orbit.points, cloud.points) <= bound
 
 
 def test_chaos_game_single_map():
-    ifs = IfsSystem("R1", (AffineMap(np.array([[0.5]]), np.array([0.5])),), 0.5)
+    ifs = IfsSystem("R1", (AffineMap(np.array([[0.5]]), np.array([0.5])),))
     orbit = chaos_game(ifs, 500, burn_in=100, rng_seed=0)
     assert np.abs(orbit.points - 1.0).max() < 1e-9
 
@@ -169,10 +202,11 @@ def test_coding_map_periodic_fixed_point(interval_ifs, rng):
     for _ in range(20):
         k = int(rng.integers(1, 4))
         w = tuple(int(d) for d in rng.choice([1, 2], size=k))
-        comp = interval_ifs.map_for(w[0])
-        for d in w[1:]:
-            comp = comp.compose(interval_ifs.map_for(d))
-        fixed = comp.fixed_point()
+        mat, off = np.eye(1), np.zeros(1)
+        for d in w:  # f_w = f_{w_1} o ... o f_{w_k}
+            m = interval_ifs.map_for(d)
+            mat, off = mat @ m.matrix, mat @ m.offset + off
+        fixed = AffineMap(mat, off).fixed_point()
         val = coding_map(interval_ifs, Address((), w), tol=1e-11)
         assert np.linalg.norm(val - fixed) < 1e-9
 
@@ -321,7 +355,7 @@ def test_random_address_validity(rng):
 
 def test_mobius_arc_on_circle():
     ifs = systems.mobius_arc()
-    cloud = attractor(ifs, systems.default_seed(ifs), depth=200, cell=1e-3)
+    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=1e-3)
     z = from_sphere(cloud.points)
     residual = np.abs(np.abs(z - 1.5j) - 0.5)
     assert residual.max() <= 10 * cloud.epsilon

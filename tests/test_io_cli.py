@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fbe.ifs
 from fbe import io, systems
 from fbe.cli import main
 from fbe.errors import NonInvertibleMapError, SpecFormatError, StaleCacheError
@@ -25,7 +26,7 @@ def cantor_spec_file(tmp_path):
 def test_load_spec_cantor(cantor_spec_file):
     ifs = io.load_spec(cantor_spec_file)
     assert ifs.n_maps == 2
-    assert ifs.contractivity == pytest.approx(1 / 3)
+    assert ifs.lam() == pytest.approx(1 / 3)
     assert ifs.space == "R1"
 
 
@@ -289,7 +290,7 @@ def test_cli_continuation(tmp_path, capsys):
     assert header.startswith("FBE-CLOUD v1")
     # three inverse maps of Lipschitz constant 2 scale the resolution by 8
     ifs = systems.interval()
-    cloud = attractor(ifs, systems.default_seed(ifs), depth=200, cell=1e-3)
+    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=1e-3)
     assert float(header.split()[3]) == 8 * cloud.epsilon
 
 
@@ -318,6 +319,17 @@ def test_cli_usage_error():
 
 def test_cli_unknown_system():
     assert main(["verify", "--ifs", "nope-such-system"]) == 2
+
+
+def test_cli_attractor_runaway_growth(tmp_path, monkeypatch, capsys):
+    # x -> 2x, x -> 2x + 1 expands: the step budget stops it with exit 2
+    monkeypatch.setattr(fbe.ifs, "MAX_IMAGE_POINTS", 10_000)
+    maps = [{"type": "affine", "matrix": [[2.0]], "offset": [t]} for t in (0.0, 1.0)]
+    path = tmp_path / "expanding.json"
+    path.write_text(json.dumps({"space": "R1", "maps": maps}))
+    assert main(["attractor", "--ifs", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fbe: error: ")
 
 
 def test_cli_cache_dir(tmp_path, monkeypatch):

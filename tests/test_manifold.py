@@ -112,7 +112,7 @@ def test_distance_error_bound_is_verify_slack(name, cell):
     # verify's metric checks take 2 * error_bound as their slack; it equals
     # 4 * Lip(f_common) * eps bit for bit, as a power-of-two factor is exact
     ifs = systems.by_name(name)
-    cloud = attractor(ifs, systems.default_seed(ifs), depth=200, cell=cell)
+    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=cell)
     rng = np.random.Generator(np.random.PCG64(5))
     pts = _random_manifold_points(ifs, cloud, rng, 30)
     for a in pts:
@@ -326,7 +326,7 @@ def test_verify_leaf_shape_count_sees_drift():
     # an inverse map that no longer undoes its map moves pulled-back leaf
     # shapes off their leaf sets
     ifs = systems.interval()
-    cloud = attractor(ifs, systems.default_seed(ifs), cell=0.002)
+    cloud = attractor(ifs, ifs.fixed_points(), cell=0.002)
 
     def leaf_check(ifs):
         report = run_verify(ifs, cloud, cell=0.002)
@@ -427,10 +427,3 @@ def test_manifold_point_validation(interval_ifs, interval_cloud):
     with pytest.raises(DomainError):
         manifold_point(interval_ifs, interval_cloud, (1,), [0.75])  # positive digit
 
-
-def test_same_point_equality(interval_ifs, interval_cloud):
-    a = manifold_point(interval_ifs, interval_cloud, (-1,), [0.75])
-    b = manifold_point(interval_ifs, interval_cloud, (-1,), [0.75 + interval_cloud.epsilon])
-    c = manifold_point(interval_ifs, interval_cloud, (-2, -1), [0.75])
-    assert a.same_point(b, interval_cloud.tau)
-    assert not a.same_point(c, interval_cloud.tau)
