@@ -385,7 +385,7 @@ def is_reversible_periodic(
         )
     if ifs.is_sphere:
         raise DomainError("interior test implemented for affine spaces only")
-    p = coding_map(ifs, Address((), tuple(reversed(period))), tol=cloud.epsilon / 4)
+    p = coding_map(ifs, Address((), tuple(reversed(period))))
     step = cloud.epsilon / 2
     n_side = max(2, int(np.ceil(2 * margin / step)) + 1)
     axes = [np.linspace(-margin, margin, n_side)] * ifs.dim

@@ -148,7 +148,7 @@ def _cmd_code(args) -> int:
         print(f"{d} ({float(d):.17g})")
     elif args.op == "pi":
         ifs = _resolve_ifs(args.ifs)
-        val = coding_map(ifs, parse_address(args.addr), tol=args.tol)
+        val = coding_map(ifs, parse_address(args.addr))
         print(" ".join(f"{v:.17g}" for v in np.atleast_1d(val)))
     elif args.op == "disjunctive":
         word = disjunctive_prefix(args.n_maps, args.length)
@@ -304,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = code_sub.add_parser("pi")
     q.add_argument("addr")
     q.add_argument("--ifs", required=True)
-    q.add_argument("--tol", type=float, default=1e-10)
     q = code_sub.add_parser("disjunctive")
     q.add_argument("--n-maps", type=int, required=True)
     q.add_argument("--length", type=int, required=True)
@@ -344,10 +343,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except FbeError as e:
-        print(f"fbe: error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (FbeError, FileNotFoundError) as e:
         print(f"fbe: error: {e}", file=sys.stderr)
         return 2
 

@@ -7,14 +7,13 @@ Composition follows the convention f_{w} = f_{w_1} o f_{w_2} o ... o f_{w_k}
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .addresses import Address, positive_tail_index, sigma, validate
+from .addresses import Address, sigma, validate
 from .errors import DomainError, NoConvergenceError, ResolutionError
 from .maps import AffineMap, MoebiusMap, from_sphere, to_sphere
 
@@ -116,17 +115,6 @@ class IfsSystem:
             z = [m.attracting_fixed_point() for m in self.maps]
             return to_sphere(np.array(z, dtype=complex))
         return np.vstack([m.fixed_point() for m in self.maps])
-
-    def base_points(self) -> np.ndarray:
-        """Two (usually distinct) points in the basin, as embedded points."""
-        pts = self.fixed_points()[[0, -1]]
-        if np.linalg.norm(pts[0] - pts[1]) < 1e-12:
-            if self.is_sphere:
-                z = from_sphere(pts[:1]) + 0.25
-                pts[1] = to_sphere(self.maps[-1].apply_complex(z))[0]
-            else:
-                pts[1] = pts[0] + 0.25
-        return pts
 
     def dual(self) -> "IfsSystem":
         """The system of inverse maps, same digit order."""
@@ -301,7 +289,7 @@ def chaos_game(
         raise DomainError("n must exceed burn_in")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     digits = rng.integers(1, ifs.n_maps + 1, size=n)
-    x = ifs.base_points()[0]
+    x = ifs.fixed_points()[0]
     out = np.empty((n - burn_in, ifs.dim))
     if ifs.is_sphere:
         z = from_sphere(x[None, :])
@@ -334,68 +322,48 @@ def chaos_game(
 # -- coding map -----------------------------------------------------------------
 
 
-def _eval_prefix_pair(ifs: IfsSystem, tail: Address, k: int, base):
-    """f_{tail|k}(b) and f_{tail|k+1}(b) for both base points, in one pass.
-
-    Composed matrices degenerate numerically as the composition collapses
-    to a constant map, so the evaluation walks the word from the inside
-    out on points instead: the base points, stacked with their images
-    under digit k+1, go through digits k, ..., 1 together. On the sphere
-    the base points are complex values.
-    """
+def _period_map(ifs: IfsSystem, period: Word):
+    """f_p = f_{p_1} o ... o f_{p_m} as one map of the system's family."""
+    maps = [ifs.map_for(d) for d in period]
     if ifs.is_sphere:
-        steps = [m.apply_complex for m in ifs.maps]
-    else:
-        steps = [lambda v, a=m.matrix.T, t=m.offset: v @ a + t for m in ifs.maps]
-    tail_digits = itertools.chain(tail.pre, itertools.cycle(tail.period))
-    digits = list(itertools.islice(tail_digits, k + 1))
-    v = np.concatenate([base, steps[digits[k] - 1](base)])
-    for d in reversed(digits[:k]):
-        v = steps[d - 1](v)
-    if ifs.is_sphere:
-        v = to_sphere(v)
-    return v[:2], v[2:]
+        mat = np.eye(2)
+        for m in maps:
+            mat = mat @ m.matrix()
+        return MoebiusMap(*mat.ravel())
+    mat, off = np.eye(ifs.dim), np.zeros(ifs.dim)
+    for m in maps:
+        mat, off = mat @ m.matrix, mat @ m.offset + off
+    return AffineMap(mat, off)
 
 
-def coding_map(ifs: IfsSystem, addr: Address, tol: float = 1e-10) -> np.ndarray:
-    """Limit point of f_{addr|k}(b): the address's projection into X.
+def coding_map(ifs: IfsSystem, addr: Address) -> np.ndarray:
+    """pi(u.(p)*) = f_u(Fix f_p): the address's projection into X.
 
-    Accepts any address whose tail is eventually all-positive; the finite
-    (possibly inverse-containing) prefix is applied after the tail limit
-    converges. The limit is cross-checked with two base points.
+    For an eventually periodic address the limit of f_{addr|k}(b) is the
+    attracting fixed point of the one map f_p, moved by the (possibly
+    inverse-containing) preperiod u. Raises DomainError outside J+ and when
+    f_p has no attracting fixed point: an affine f_p with spectral radius
+    >= 1, or a Moebius f_p that is not loxodromic, its det-1 matrix having
+    eigenvalues of equal modulus (Beardon 1983, classification by trace).
     """
     cls = validate(addr, ifs.n_maps)
     if not addr.is_infinite or not cls.in_Jplus:
         raise DomainError(f"address {addr} is not in the coding map's domain")
-    K = positive_tail_index(addr)
-    prefix = addr.prefix(K)
-    tail = addr.shifted(K)
-
-    pre_lip = ifs.word_lipschitz(prefix) if prefix else 1.0
-    tail_tol = tol / max(1.0, pre_lip)
-    lam = ifs.lam()
-    if lam < 1.0:
-        step_tol = tail_tol * min(1.0, (1.0 - lam) / max(lam, 1e-9))
+    f_p = _period_map(ifs, addr.period)
+    if ifs.is_sphere:
+        # det 1: the eigenvalues l and 1/l have equal modulus iff
+        # tr^2 = (l + 1/l)^2 lies in [0, 4]
+        tr2 = (f_p.a + f_p.d) ** 2
+        attracting = tr2.imag != 0.0 or not 0.0 <= tr2.real <= 4.0
     else:
-        step_tol = tail_tol / 8.0
-
-    base = from_sphere(ifs.base_points()) if ifs.is_sphere else ifs.base_points()
-    k = 16
-    cap = 1 << 22
-    step = np.inf
-    while k <= cap:
-        cur, nxt = _eval_prefix_pair(ifs, tail, k, base)
-        step = float(np.linalg.norm(nxt - cur, axis=1).max())
-        spread = float(np.linalg.norm(cur[0] - cur[1]))
-        # steps and spreads stall at float64 resolution at the point's
-        # scale; a tolerance below that would never be met
-        floor = 8.0 * np.finfo(float).eps * max(1.0, float(np.abs(cur).max()))
-        if step < max(step_tol, floor) and spread <= 2.0 * max(tail_tol, floor):
-            return ifs.apply_word(prefix, cur[:1])[0]
-        k *= 2
-    raise NoConvergenceError(
-        f"coding map did not converge for {addr}", residual=step
-    )
+        attracting = np.abs(np.linalg.eigvals(f_p.matrix)).max() < 1.0
+    if not attracting:
+        raise DomainError(f"address {addr}: f_p has no attracting fixed point")
+    if ifs.is_sphere:
+        fixed = to_sphere(f_p.attracting_fixed_point())
+    else:
+        fixed = f_p.fixed_point()
+    return ifs.apply_word(addr.pre, fixed)[0]
 
 
 # -- semiconjugacy check ----------------------------------------------------------
@@ -469,12 +437,11 @@ def verify_semiconjugacy(
     failures = []
     max_res = 0.0
     checks = 0
-    pi_tol = min(tol / 8.0, 1e-10)
     for _ in range(n_samples):
         addr = random_address(rng, ifs.n_maps)
-        pi_addr = coding_map(ifs, addr, tol=pi_tol)
+        pi_addr = coding_map(ifs, addr)
         for n in [d for d in range(-ifs.n_maps, ifs.n_maps + 1) if d != 0]:
-            lhs = coding_map(ifs, sigma(n, addr), tol=pi_tol)
+            lhs = coding_map(ifs, sigma(n, addr))
             rhs = ifs.transform(n, pi_addr[None, :])[0]
             res = float(np.linalg.norm(lhs - rhs))
             checks += 1

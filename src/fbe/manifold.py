@@ -78,7 +78,6 @@ def canonicalize(
     ifs: IfsSystem,
     cloud: AttractorCloud,
     addr: Address,
-    tol: float = 1e-10,
 ) -> ManifoldPoint:
     """Split an address into integer part and fractional projection.
 
@@ -94,7 +93,7 @@ def canonicalize(
         neg_count += 1
     tau = cloud.tau
     for k in range(neg_count + 1):
-        val = coding_map(ifs, addr.shifted(k), tol=tol)
+        val = coding_map(ifs, addr.shifted(k))
         d = cloud.dist_point(val)
         if d <= tau:
             theta = addr.prefix(k)
@@ -303,7 +302,7 @@ def _gluing_points(
         digits = _greedy_address(ifs, cloud, centre, length=window)
         addr = _eventually_periodic(digits)
         if addr is not None:
-            exact = coding_map(ifs, addr, tol=1e-12)
+            exact = coding_map(ifs, addr)
             if np.linalg.norm(exact - centre) <= 4 * tau:
                 refined = exact
         out.append(refined)

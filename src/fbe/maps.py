@@ -193,7 +193,9 @@ class MoebiusMap:
 
         def strength(z):
             if not np.isfinite(z.real) or not np.isfinite(z.imag):
-                return abs(self.a)  # derivative at inf is |d/a|^... via a/d
+                # c = 0 makes d = 1/a, so f(z) = a^2 z + ab and f'(inf) =
+                # 1/a^2: |a| stands in for |cz + d|
+                return abs(self.a)
             return abs(self.c * z + self.d)
 
         return max(self.fixed_points(), key=strength)

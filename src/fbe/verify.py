@@ -116,7 +116,7 @@ def run_verify(
     def fixed_points():
         worst = 0.0
         for n, fx in enumerate(ifs.fixed_points(), start=1):
-            pi = coding_map(ifs, Address((), (n,)), tol=1e-11)
+            pi = coding_map(ifs, Address((), (n,)))
             worst = max(worst, float(np.linalg.norm(pi - fx)))
         return worst
 

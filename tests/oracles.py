@@ -191,3 +191,42 @@ def certified_cover(ifs, delta: float) -> np.ndarray:
             np.concatenate([m @ b + t for b in offs]),
         )
     return np.concatenate(leaves)
+
+
+def orbit_limit(ifs, addr, reps: int) -> np.ndarray:
+    """f_u(f_p^reps(b)) for the address u.(p)*, as a point of the space.
+
+    Plain loops over the maps' matrices and offsets, or their Moebius
+    coefficients; inverse digits use the inverse matrix. The base point b
+    is the origin, or 0.1 + 0.2i on the sphere, away from every repelling
+    fixed point met in the tests.
+    """
+    if ifs.is_sphere:
+        coef = {}
+        for i, m in enumerate(ifs.maps, start=1):
+            coef[i] = (m.a, m.b, m.c, m.d)
+            coef[-i] = (m.d, -m.b, -m.c, m.a)
+
+        def step(k, z):
+            a, b, c, d = coef[k]
+            return (a * z + b) / (c * z + d)
+
+        x = 0.1 + 0.2j
+    else:
+        aff = {}
+        for i, m in enumerate(ifs.maps, start=1):
+            mat, off = np.asarray(m.matrix), np.asarray(m.offset)
+            inv = np.linalg.inv(mat)
+            aff[i], aff[-i] = (mat, off), (inv, -inv @ off)
+
+        def step(k, v):
+            mat, off = aff[k]
+            return mat @ v + off
+
+        x = np.zeros(len(ifs.maps[0].offset))
+    for _ in range(reps):
+        for k in reversed(addr.period):
+            x = step(k, x)
+    for k in reversed(addr.pre):
+        x = step(k, x)
+    return to_sphere(np.array([x]))[0] if ifs.is_sphere else x

@@ -184,8 +184,8 @@ def test_acceptance_02_basin_inclusion(
 
 
 def test_acceptance_03_coding_map(interval_ifs, interval_cloud_fine):
-    v1 = coding_map(interval_ifs, A("(2)*"), tol=1e-11)
-    v2 = coding_map(interval_ifs, A("-1.(2)*"), tol=1e-11)
+    v1 = coding_map(interval_ifs, A("(2)*"))
+    v2 = coding_map(interval_ifs, A("-1.(2)*"))
     assert abs(v1[0] - 1.0) <= 1e-9
     assert abs(v2[0] - 2.0) <= 1e-9
 

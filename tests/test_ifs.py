@@ -19,9 +19,9 @@ from fbe.ifs import (
     random_address,
     verify_semiconjugacy,
 )
-from fbe.maps import AffineMap, from_sphere
+from fbe.maps import AffineMap, MoebiusMap, from_sphere
 
-from oracles import cantor_level_points
+from oracles import cantor_level_points, orbit_limit
 
 A = parse_address
 
@@ -207,7 +207,7 @@ def test_coding_map_periodic_fixed_point(interval_ifs, rng):
             m = interval_ifs.map_for(d)
             mat, off = mat @ m.matrix, mat @ m.offset + off
         fixed = AffineMap(mat, off).fixed_point()
-        val = coding_map(interval_ifs, Address((), w), tol=1e-11)
+        val = coding_map(interval_ifs, Address((), w))
         assert np.linalg.norm(val - fixed) < 1e-9
 
 
@@ -218,9 +218,22 @@ def test_coding_map_domain_errors(interval_ifs):
         coding_map(interval_ifs, A("(-1)*"))  # negative tail
 
 
+@pytest.mark.parametrize("name", sorted(systems.SYSTEMS))
+def test_coding_map_matches_orbit_limit(name):
+    # f_u(f_p^400(b)) by plain loops: every period of <= 4 digits of a
+    # built-in contracts by far more than 2^-53 over 400 repetitions
+    ifs = systems.by_name(name)
+    rng = np.random.Generator(np.random.PCG64(11))
+    for _ in range(40):
+        addr = random_address(rng, ifs.n_maps, max_pre=4, max_period=4)
+        oracle = orbit_limit(ifs, addr, reps=400)
+        err = np.linalg.norm(coding_map(ifs, addr) - oracle)
+        assert err <= 1e-12 * max(1.0, np.linalg.norm(oracle)), str(addr)
+
+
 def test_coding_map_sphere(cantor_ifs):
     ifs = systems.projective_line()
-    val = coding_map(ifs, A("(1)*"), tol=1e-10)
+    val = coding_map(ifs, A("(1)*"))
     z = from_sphere(val[None, :])[0]
     assert z.real == pytest.approx(0.0, abs=1e-7)
     assert abs(z.imag) < 1e-7
@@ -272,8 +285,9 @@ def _time_limit(seconds):
 
 
 def test_coding_map_stops_at_float_resolution():
-    # the sampled Lipschitz bounds of these prefixes ask for steps below
-    # float64 resolution, which no doubling of the word length reaches
+    # a prefix with an inverse digit before a three-digit period on a
+    # Moebius system: f_u(Fix f_p) returns within the limit, and the shift
+    # diagram holds for every signed digit
     from fbe.addresses import sigma
 
     ifs = systems.mobius_arc()
@@ -284,6 +298,21 @@ def test_coding_map_stops_at_float_resolution():
         with _time_limit(1.0):
             lhs = coding_map(ifs, sigma(n, addr))
         assert np.linalg.norm(lhs - ifs.transform(n, pi[None, :])[0]) <= 1e-7
+
+
+def _rotation_r2():
+    quarter_turn = AffineMap(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
+    return IfsSystem("R2", (quarter_turn, AffineMap(0.5 * np.eye(2), [0.5, 0.0])))
+
+
+@pytest.mark.parametrize(
+    "ifs",
+    [_rotation_r2(), IfsSystem("sphere", (MoebiusMap(1.0, 1.0, 0.0, 1.0),))],
+    ids=["affine-rotation", "moebius-parabolic"],
+)
+def test_coding_map_refuses_period_without_attracting_fixed_point(ifs):
+    with _time_limit(1.0), pytest.raises(DomainError):
+        coding_map(ifs, A("(1)*"))
 
 
 def test_verify_mobius_arc_seed_10():

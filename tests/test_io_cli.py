@@ -156,6 +156,19 @@ def test_cli_code_pi(capsys, cantor_spec_file):
     assert val == pytest.approx(3.0, abs=1e-8)  # f_1^{-1}(1) = 3
 
 
+def test_cli_code_pi_refuses_period_without_attracting_fixed_point(tmp_path, capsys):
+    # f_1 is a quarter turn: (1)* has no limit point, so pi exits 2 at once
+    maps = [
+        {"type": "affine", "matrix": [[0.0, -1.0], [1.0, 0.0]], "offset": [0.0, 0.0]},
+        {"type": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.5, 0.0]},
+    ]
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps({"space": "R2", "maps": maps}))
+    assert main(["code", "pi", "(1)*", "--ifs", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fbe: error: ")
+
+
 def test_cli_fastbasin_writes_pgm(tmp_path, capsys):
     out = tmp_path / "fb.pgm"
     csv = tmp_path / "fb.csv"
@@ -257,6 +270,21 @@ def test_cli_verify_interval(tmp_path):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     assert tuple(c["name"] for c in checks) == bench.VERIFY_CHECKS
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark's tracer wraps these names; a rename here would leave
+    # its per-layer metrics silently empty
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _, _ in tracing.FUNCTIONS:
+        assert callable(getattr(module, attr, None)), (module.__name__, attr)
+    for cls, attr, _, _ in tracing.METHODS:
+        assert attr in vars(cls), (cls.__name__, attr)
+    for module, _ in tracing.KDTREES:
+        assert hasattr(module, "cKDTree"), module.__name__
 
 
 def test_cli_verify_r4_skips_raster_membership(tmp_path):

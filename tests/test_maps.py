@@ -52,6 +52,16 @@ def test_moebius_pole_to_infinity():
     assert back[0] == pytest.approx(1.0)
 
 
+def test_moebius_attracting_fixed_point_with_c_zero():
+    # f(z) = z/4 + 1/2: the finite fixed point 2/3 attracts, infinity repels
+    assert MoebiusMap(1.0, 2.0, 0.0, 4.0).attracting_fixed_point() == pytest.approx(
+        2 / 3
+    )
+    # f(z) = 4z: infinity attracts, 0 repels
+    z = MoebiusMap(4.0, 0.0, 0.0, 1.0).attracting_fixed_point()
+    assert not np.isfinite(z.real)
+
+
 def test_moebius_degenerate_rejected():
     with pytest.raises(NonInvertibleMapError):
         MoebiusMap(1.0, 2.0, 2.0, 4.0)
