@@ -118,7 +118,7 @@ class IfsSystem:
 
     def dual(self) -> "IfsSystem":
         """The system of inverse maps, same digit order."""
-        return IfsSystem(self.space, tuple(m.inverse() for m in self.maps))
+        return IfsSystem(self.space, self._inverses)
 
     def spec_dict(self) -> dict:
         return {

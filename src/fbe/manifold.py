@@ -112,14 +112,17 @@ def canonicalize(
 
 def common_prefix(a: ManifoldPoint | Word, b: ManifoldPoint | Word) -> Word:
     """Longest common prefix of the two integer parts."""
-    ta = a.theta if isinstance(a, ManifoldPoint) else tuple(a)
-    tb = b.theta if isinstance(b, ManifoldPoint) else tuple(b)
-    out = []
-    for da, db in zip(ta, tb):
-        if da != db:
-            break
-        out.append(da)
-    return tuple(out)
+    ta, tb = (tuple(getattr(p, "theta", p)) for p in (a, b))
+    k = 0
+    while k < min(len(ta), len(tb)) and ta[k] == tb[k]:
+        k += 1
+    return ta[:k]
+
+
+def on_one_sheet(a: ManifoldPoint | Word, b: ManifoldPoint | Word) -> bool:
+    """Whether one integer part is a prefix of the other: one sheet holds both."""
+    ta, tb = (tuple(getattr(p, "theta", p)) for p in (a, b))
+    return ta[: len(tb)] == tb[: len(ta)]
 
 
 @dataclass
@@ -138,16 +141,17 @@ def distance(
 ) -> ManifoldDistance:
     """Panicle-constrained path metric between two manifold points.
 
-    Minimises d(proj_a, x) + d(x, proj_b) over the transformed cloud
-    f_{[a,b]}(A); the discretisation error is at most 2*Lip(f_{[a,b]})*eps
-    and is reported alongside the value.
+    d_L minimises d(proj_a, x) + d(x, proj_b) over x in f_{[a,b]}(A), a sum
+    that the triangle inequality bounds below by d_X. On one sheet d_L = d_X
+    exactly, as the shorter point's projection lies in f_{[a,b]}(A). Across
+    sheets the transformed cloud is scanned, within the reported error bound
+    2*Lip(f_{[a,b]})*eps.
     """
     common = common_prefix(a, b)
     d_X = float(np.linalg.norm(a.proj - b.proj))
-    lip = ifs.word_lipschitz(common) if common else 1.0
-    bound = 2.0 * lip * cloud.epsilon
-    if a.theta == b.theta and np.array_equal(a.x, b.x):
-        return ManifoldDistance(0.0, d_X, common, bound)
+    bound = 2.0 * ifs.word_lipschitz(common) * cloud.epsilon
+    if on_one_sheet(a, b):
+        return ManifoldDistance(d_X, d_X, common, bound)
     pts = ifs.apply_word(common, cloud.points)
     tot = np.linalg.norm(pts - a.proj, axis=1) + np.linalg.norm(
         pts - b.proj, axis=1
@@ -234,7 +238,7 @@ def _cluster_1d_or_nd(points: np.ndarray, radius: float) -> list[np.ndarray]:
 
 
 def _greedy_address(
-    ifs: IfsSystem, cloud: AttractorCloud, z: np.ndarray, length: int = 48
+    ifs: IfsSystem, cloud: AttractorCloud, z: np.ndarray, length: int
 ) -> list[int]:
     """Extract a positive address of a point on A by repeated pullback.
 
@@ -309,11 +313,6 @@ def _gluing_points(
     return out
 
 
-def _chain_compatible(theta: Word, phi: Word) -> bool:
-    k = min(len(theta), len(phi))
-    return theta[:k] == phi[:k]
-
-
 def branch_points(
     ifs: IfsSystem,
     cloud: AttractorCloud,
@@ -360,16 +359,15 @@ def branch_points(
                 # partial unwinding still sits on the cloud
                 kk = 0
                 while kk <= k:
-                    y = ifs.apply_word_point(theta[kk:], g)
-                    if cloud.dist_point(y) <= cloud.tau:
+                    x = ifs.apply_word_point(theta[kk:], g)
+                    if cloud.dist_point(x) <= cloud.tau:
                         break
                     kk += 1
                 cls_theta = theta[:kk]
-                x = ifs.apply_word_point(theta[kk:], g)
                 incidence = sum(
                     1
                     for phi in leaves
-                    if _chain_compatible(cls_theta, phi)
+                    if on_one_sheet(cls_theta, phi)
                     and float(closure_trees[phi].query(b[None, :])[0][0]) <= tol
                 )
                 if incidence >= 2:

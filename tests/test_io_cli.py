@@ -287,6 +287,20 @@ def test_benchmark_hooks_resolve():
         assert hasattr(module, "cKDTree"), module.__name__
 
 
+def test_benchmark_verify_checks_match_run_verify():
+    # the benchmark reads each check's time by name; a renamed or dropped
+    # check would be reported as 0.0 s instead of failing
+    from fbe.verify import run_verify
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spec.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spec", path)
+    bench_spec = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_spec)
+    ifs = systems.interval()
+    report = run_verify(ifs, cell=2.0**-6)
+    assert tuple(c.name for c in report.checks) == bench_spec.VERIFY_CHECKS
+
+
 def test_cli_verify_r4_skips_raster_membership(tmp_path):
     # an R4 raster is a projection: its cell centres are not points of the space
     report = tmp_path / "report.json"

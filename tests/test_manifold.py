@@ -19,6 +19,7 @@ from fbe.manifold import (
     enumerate_leaves,
     leaf_projection,
     manifold_point,
+    on_one_sheet,
     sigma_tilde,
 )
 from fbe.maps import AffineMap
@@ -87,10 +88,24 @@ def test_common_prefix_examples():
     assert common_prefix((-1, -2), (-1, -1)) == (-1,)
 
 
+def test_on_one_sheet_examples(interval_ifs, interval_cloud_fine):
+    assert on_one_sheet((), (-2, -1))
+    assert on_one_sheet((-1, -2), (-1,))
+    assert on_one_sheet((-1, -2), (-1, -2))
+    assert not on_one_sheet((-1,), (-2, -1))
+    assert not on_one_sheet((-1, -2), (-1, -1))
+    a = manifold_point(interval_ifs, interval_cloud_fine, (-1,), [0.75])
+    b = manifold_point(interval_ifs, interval_cloud_fine, (-2, -1), [0.625])
+    assert on_one_sheet(a, (-1, -2)) and not on_one_sheet(a, b)
+
+
 # -- distance ----------------------------------------------------------------------
 
 
-def test_distance_same_sheet(interval_ifs, interval_cloud_fine, rng):
+def test_distance_same_sheet(
+    interval_ifs, interval_cloud_fine, sierpinski_ifs, sierpinski_cloud, rng
+):
+    # on one sheet the path metric is the distance of the projections
     cloud = interval_cloud_fine
     for _ in range(20):
         pts = _random_points(interval_ifs, cloud, rng, 2, max_theta=2)
@@ -103,8 +118,14 @@ def test_distance_same_sheet(interval_ifs, interval_cloud_fine, rng):
         except DomainError:
             continue
         d = distance(interval_ifs, cloud, a, b)
-        lip = interval_ifs.word_lipschitz(d.common_prefix)
-        assert abs(d.d_L - d.d_X) <= 4 * lip * cloud.epsilon
+        assert d.d_L == d.d_X
+    # (1, 0) is on the gasket but 0.0055 from the nearest cloud point, so a
+    # scan of the transformed cloud would read d_L - d_X = 0.011
+    a = manifold_point(sierpinski_ifs, sierpinski_cloud, (-1,), [1.0, 0.0])
+    b = manifold_point(sierpinski_ifs, sierpinski_cloud, (-1, -3), [1.0, 0.0])
+    d = distance(sierpinski_ifs, sierpinski_cloud, a, b)
+    assert d.d_L == d.d_X == np.hypot(2.0, 2.0)
+    assert d.common_prefix == (-1,)
 
 
 @pytest.mark.parametrize("name, cell", [("sierpinski", 2.0**-7), ("mobius_arc", 0.002)])
@@ -337,6 +358,23 @@ def test_verify_leaf_shape_count_sees_drift():
     shifted = AffineMap(inv.matrix, inv.offset + 0.1)
     object.__setattr__(ifs, "_inverses", (shifted,) + ifs._inverses[1:])
     check = leaf_check(ifs)
+    assert check.status == "fail" and check.residual > 0
+
+
+def test_verify_coding_fixed_points_sees_solver_error(monkeypatch):
+    # the check reads pi((n)*) against f_n itself, so an error in the
+    # fixed-point solver that the coding map calls makes it fail
+    ifs = systems.interval()
+    cloud = attractor(ifs, ifs.fixed_points(), cell=0.002)
+
+    def fixed_point_check():
+        report = run_verify(ifs, cloud, cell=0.002)
+        return next(c for c in report.checks if c.name == "coding-fixed-points")
+
+    assert fixed_point_check().status == "pass"
+    solve = AffineMap.fixed_point
+    monkeypatch.setattr(AffineMap, "fixed_point", lambda m: solve(m) + 1e-3)
+    check = fixed_point_check()
     assert check.status == "fail" and check.residual > 0
 
 
