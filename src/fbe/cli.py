@@ -195,7 +195,7 @@ def _cmd_manifold(args) -> int:
         else:
             sys.stdout.write(text)
     elif args.mop == "branch":
-        pts = manifold.branch_points(ifs, cloud, args.depth, args.tol)
+        pts = manifold.branch_points(ifs, cloud, args.depth)
         out = [
             {
                 "projection": p.proj.tolist(),
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = man_sub.add_parser("branch")
     add_common(q)
     q.add_argument("--depth", type=int, default=3)
-    q.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=_cmd_manifold)
 
     p = sub.add_parser("verify", help="run the structural check suite")

@@ -237,52 +237,19 @@ def _cluster_1d_or_nd(points: np.ndarray, radius: float) -> list[np.ndarray]:
     return centres
 
 
-def _greedy_address(
-    ifs: IfsSystem, cloud: AttractorCloud, z: np.ndarray, length: int
-) -> list[int]:
-    """Extract a positive address of a point on A by repeated pullback.
-
-    Every pullback is snapped to the nearest cloud point: the inverse maps
-    expand, so an initial offset of cloud resolution would otherwise
-    compound geometrically and corrupt the digit tail.
-    """
-    digits = []
-    _, idx = cloud.tree.query(np.atleast_2d(z))
-    z = cloud.points[int(np.atleast_1d(idx)[0])]
-    for _ in range(length):
-        best, best_d, best_z = None, np.inf, None
-        for j in range(1, ifs.n_maps + 1):
-            pulled = ifs.transform(-j, z[None, :])
-            d, i = cloud.tree.query(pulled)
-            d, i = float(np.atleast_1d(d)[0]), int(np.atleast_1d(i)[0])
-            if d < best_d - 1e-15:
-                best, best_d, best_z = j, d, cloud.points[i]
-        digits.append(best)
-        z = best_z
-    return digits
-
-
-def _eventually_periodic(digits: list[int]) -> Address | None:
-    """Smallest (preperiod, period) consistent with the digit sample."""
-    n = len(digits)
-    for period in range(1, 7):
-        for pre in range(0, 17):
-            if pre + 2 * period > n:
-                break
-            if all(
-                digits[t] == digits[pre + (t - pre) % period] for t in range(pre, n)
-            ):
-                return Address(tuple(digits[:pre]), tuple(digits[pre : pre + period]))
-    return None
-
-
 def _gluing_points(
     ifs: IfsSystem, cloud: AttractorCloud, i: int
 ) -> list[np.ndarray]:
-    """Refined points of f_i(A) that are limits of A minus f_i(A).
+    """Points of f_i(A) that are limits of A minus f_i(A).
 
-    Detected from the cloud at tolerance tau, then sharpened to coding-map
-    accuracy by extracting an eventually-periodic address.
+    Detected from the cloud at tolerance tau, clustered, and each cluster
+    centre replaced by the nearest pi(i.(j)*) = f_i(Fix f_j), j != i, within
+    4*tau. On nested fractals the pieces f_i(A) meet only at such images of
+    the fixed points, so there the gluing points are exact up to float
+    rounding. Elsewhere a gluing point is only as good as the cloud: pieces
+    that overlap or share edges (triangle, quadratic_graph) do not meet in
+    finitely many junctions, so a junction stands for a longer contact, and
+    a cluster with no junction within 4*tau keeps its centre.
     """
     tau = cloud.tau
     outside = _leaf_index(ifs, cloud, i)[1]
@@ -296,20 +263,17 @@ def _gluing_points(
     cand = inside[d_far <= 2 * tau]
     if cand.shape[0] == 0:
         return []
+    # one coding_map call per junction: a batched word application can
+    # round the last bit differently
+    junctions = [
+        coding_map(ifs, Address((i,), (j,)))
+        for j in range(1, ifs.n_maps + 1)
+        if j != i
+    ]
     out = []
-    # The pullback walk doubles an epsilon-size offset every step, so only
-    # about log2(margin / epsilon) digits are trustworthy; the detected
-    # address is validated against the cluster before it replaces it.
-    window = int(np.clip(np.log2(0.25 / max(cloud.epsilon, 1e-15)), 8, 40))
     for centre in _cluster_1d_or_nd(cand, 8 * tau):
-        refined = centre
-        digits = _greedy_address(ifs, cloud, centre, length=window)
-        addr = _eventually_periodic(digits)
-        if addr is not None:
-            exact = coding_map(ifs, addr)
-            if np.linalg.norm(exact - centre) <= 4 * tau:
-                refined = exact
-        out.append(refined)
+        q = min(junctions, key=lambda q: np.linalg.norm(q - centre), default=centre)
+        out.append(q if np.linalg.norm(q - centre) <= 4 * tau else centre)
     return out
 
 
@@ -317,18 +281,17 @@ def branch_points(
     ifs: IfsSystem,
     cloud: AttractorCloud,
     depth: int,
-    tol: float | None = None,
 ) -> list[tuple[ManifoldPoint, int]]:
     """Detect branch points from leaf-closure gluings up to `depth`.
 
     Candidates are the gluing points of consecutive leaf closures along
     each map's own inverse-iterate chain (the overline(-j) panicles);
     the incidence count is the number of chain-compatible leaf closures
-    through the point. Points with fewer than two incident leaves are
-    dropped. Systems whose first-level images are separated (empty
+    within 2*tau of the point. Points with fewer than two incident leaves
+    are dropped. Systems whose first-level images are separated (empty
     gluing sets) have no branch points.
     """
-    tol = 2 * cloud.tau if tol is None else tol
+    tol = 2 * cloud.tau
     if depth < 1:
         return []
     glue = {i: _gluing_points(ifs, cloud, i) for i in range(1, ifs.n_maps + 1)}

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 import fbe.manifold
 from fbe import attractor, systems
-from fbe.addresses import parse_address
+from fbe.addresses import Address, parse_address
 from fbe.basin import fast_basin_raster
 from fbe.errors import AmbiguousMembershipError, DomainError
-from fbe.ifs import AttractorCloud, IfsSystem, hausdorff_distance
+from fbe.ifs import AttractorCloud, IfsSystem, coding_map, hausdorff_distance
 from fbe.manifold import (
     ManifoldPoint,
     branch_points,
@@ -381,15 +382,15 @@ def test_verify_coding_fixed_points_sees_solver_error(monkeypatch):
 # -- leaf index ---------------------------------------------------------------------
 
 
-def _count_kdtree_builds(monkeypatch) -> list:
+def _count_kdtree_builds(monkeypatch, module=fbe.manifold) -> list:
     builds = []
-    real = fbe.manifold.cKDTree
+    real = module.cKDTree
 
     def counted(*args, **kwargs):
         builds.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fbe.manifold, "cKDTree", counted)
+    monkeypatch.setattr(module, "cKDTree", counted)
     return builds
 
 
@@ -454,6 +455,45 @@ def test_branch_points_depth_zero(interval_ifs, interval_cloud):
     assert branch_points(interval_ifs, interval_cloud, depth=0) == []
 
 
+@pytest.mark.parametrize(
+    "name, cell",
+    [("sierpinski", 2.0**-8), ("interpolation", 2.0**-7), ("mobius_arc", 0.002)],
+)
+def test_gluing_points_are_junctions(name, cell):
+    # pieces f_i(A) of a nested fractal meet at pi(i.(j)*) = f_i(Fix f_j)
+    ifs = systems.by_name(name)
+    cloud = attractor(ifs, ifs.fixed_points(), cell=cell)
+    for i in range(1, ifs.n_maps + 1):
+        junctions = [
+            coding_map(ifs, Address((i,), (j,)))
+            for j in range(1, ifs.n_maps + 1)
+            if j != i
+        ]
+        glue = fbe.manifold._gluing_points(ifs, cloud, i)
+        assert glue
+        for g in glue:
+            assert any(np.array_equal(g, q) for q in junctions), (i, g)
+
+
+def test_branch_points_sierpinski_cell_independent(sierpinski_ifs):
+    def projections(cell):
+        cloud = attractor(sierpinski_ifs, sierpinski_ifs.fixed_points(), cell=cell)
+        return [p.proj for p, _ in branch_points(sierpinski_ifs, cloud, depth=3)]
+
+    coarse, fine = projections(2.0**-8), projections(2.0**-9)
+    assert len(coarse) == len(fine) == 15
+    assert all(np.array_equal(a, b) for a, b in zip(coarse, fine))
+
+
+@pytest.mark.parametrize("name, cell", [("sierpinski", 2.0**-8), ("interpolation", 2.0**-7)])
+def test_branch_points_on_attractor_are_fixed_points(name, cell):
+    ifs = systems.by_name(name)
+    cloud = attractor(ifs, ifs.fixed_points(), cell=cell)
+    found = branch_points(ifs, cloud, depth=3)
+    on_a = sorted(tuple(p.proj) for p, _ in found if not p.theta)
+    assert on_a == sorted(tuple(q) for q in ifs.fixed_points())
+
+
 # -- constructor validation ------------------------------------------------------------
 
 
@@ -465,3 +505,11 @@ def test_manifold_point_validation(interval_ifs, interval_cloud):
     with pytest.raises(DomainError):
         manifold_point(interval_ifs, interval_cloud, (1,), [0.75])  # positive digit
 
+
+def test_verify_nesting_one_tree_per_prefix(interval_ifs, interval_cloud, monkeypatch):
+    # the nesting gap depends on the prefix theta|k alone, and two maps
+    # have at most 2 + 4 + 8 prefixes of lengths 1-3; one tree per
+    # (theta, k) of the 12 draws would be 36
+    builds = _count_kdtree_builds(monkeypatch, scipy.spatial)
+    run_verify(interval_ifs, interval_cloud)
+    assert 0 < len(builds) <= 14
