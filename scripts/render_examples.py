@@ -37,7 +37,7 @@ def render_fast_basins(out_dir: Path, fast: bool):
     ]
     for name, region, (nx, ny), depth, cell in jobs:
         ifs = systems.by_name(name)
-        cloud = attractor(ifs, ifs.fixed_points(), depth=300, cell=cell)
+        cloud = attractor(ifs, cell)
         ras = fast_basin_raster(ifs, cloud, region, nx, ny, depth=depth)
         path = out_dir / f"{name}_fastbasin_d{depth}.pgm"
         io.write_pgm(ras, path)
@@ -49,7 +49,7 @@ def render_quadratic_graph(out_dir: Path, fast: bool):
     (Re z, Re w): the graph of z -> z^2 seen from the real slice."""
     grid = 512 if fast else 1024
     ifs = systems.by_name("quadratic_graph")
-    cloud = attractor(ifs, ifs.fixed_points(), depth=60, cell=0.05)
+    cloud = attractor(ifs, 0.05)
     lo = np.array([-1.6, -2.4])
     hi = np.array([1.6, 2.4])
     g = _RasterGrid(lo, hi, grid, grid, tau=3 * cloud.epsilon)
@@ -67,7 +67,7 @@ def render_triangle_continuations(out_dir: Path, fast: bool):
     each is written as its own raster."""
     grid = 512 if fast else 1024
     ifs = systems.by_name("triangle")
-    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=2.0**-7)
+    cloud = attractor(ifs, 2.0**-7)
     prefix = (4, 4, 4)
     region_lo = np.array([-8.0, -8.0])
     region_hi = np.array([9.0, 9.0])

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
+    DomainError,
     EmptyAddressError,
     InvalidDigitError,
     SpecFormatError,
@@ -271,8 +272,8 @@ def disjunctive_prefix(n_maps: int, length: int) -> Word:
     All finite positive words in length-then-lexicographic order,
     concatenated; every finite positive word occurs as a subword.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    if n_maps < 1 or length < 0:
+        raise DomainError(f"need n_maps >= 1 and length >= 0, got {n_maps}, {length}")
     out: list[int] = []
     for wlen in itertools.count(1):
         for word in itertools.product(range(1, n_maps + 1), repeat=wlen):

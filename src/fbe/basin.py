@@ -30,6 +30,8 @@ class ResolutionWarning(UserWarning):
 
 def _theta_digits(theta, k: int) -> Word:
     """First k digits of a positive word given as Address or sequence."""
+    if k < 0:
+        raise DomainError(f"continuation depth {k} must be >= 0")
     if isinstance(theta, Address):
         if not theta.is_infinite and k > len(theta.pre):
             raise DomainError(
@@ -122,8 +124,8 @@ def _normalize_region(region) -> tuple[np.ndarray, np.ndarray]:
         hi = np.array([region[2], region[3]])
     else:
         raise DomainError("region must be (x0,x1), (x0,y0,x1,y1) or ((x0,y0),(x1,y1))")
-    if np.any(hi <= lo):
-        raise DomainError("region must have positive extent")
+    if not (np.isfinite(region).all() and np.all(lo < hi)):
+        raise DomainError("region must be finite with positive extent")
     return lo, hi
 
 
@@ -205,8 +207,12 @@ def _raster_grid(
     """The empty grid of a raster builder, after the checks both builders share."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    if nx < 1 or ny < 1:
+        raise DomainError(f"grid sizes must be >= 1, got {nx} x {ny}")
     lo, hi = _normalize_region(region)
     tau = cloud.tau if tau is None else tau
+    if not 0.0 <= tau < np.inf:
+        raise DomainError(f"tolerance must be a finite number >= 0, got {tau!r}")
     grid = _RasterGrid(lo, hi, nx, ny, tau)
     if grid.widths.min() < tau:
         # level 3 is the caller of the builder
@@ -282,6 +288,16 @@ class MembershipResult:
         return self.status == "yes"
 
 
+def _tolerance(cloud: AttractorCloud, tol: float | None) -> float:
+    """tol, or the cloud tolerance tau when None; a tol below tau is refused."""
+    tol = cloud.tau if tol is None else tol
+    if not tol >= cloud.tau:
+        raise ResolutionError(
+            f"tol={tol:.3g} is below the cloud tolerance tau={cloud.tau:.3g}"
+        )
+    return tol
+
+
 def membership(
     ifs: IfsSystem,
     cloud: AttractorCloud,
@@ -296,11 +312,7 @@ def membership(
     The decisive test is in source space (distance from x to the pulled
     cloud f_w^{-1}(cloud)); the cheap image-space distance only prunes.
     """
-    tol = cloud.tau if tol is None else tol
-    if tol < cloud.tau:
-        raise ResolutionError(
-            f"tol={tol:.3g} is below the cloud tolerance tau={cloud.tau:.3g}"
-        )
+    tol = _tolerance(cloud, tol)
     x = np.asarray(x, dtype=float).reshape(-1)
     d0 = cloud.dist_point(x)
     if d0 <= tol:
@@ -347,9 +359,10 @@ def membership_along(
 ) -> MembershipResult:
     """Membership restricted to prefixes of theta: is x in B_{theta|k}, k <= depth?
 
-    The witness words are the reversed prefixes of theta.
+    The witness words are the reversed prefixes of theta; tol must be at
+    least the cloud tolerance tau.
     """
-    tol = cloud.tau if tol is None else tol
+    tol = _tolerance(cloud, tol)
     x = np.asarray(x, dtype=float).reshape(-1)
     if pullbacks is None:
         pullbacks = continuation_pullbacks(ifs, cloud, theta, depth)
@@ -426,7 +439,7 @@ def basin_inclusion_check(
     (the continuation route); otherwise the full word tree is searched.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    tol = cloud.tau if tol is None else tol
+    tol = _tolerance(cloud, tol)
     results = []
     failures = []
     reached = 0

@@ -41,23 +41,30 @@ def _resolve_ifs(spec: str) -> IfsSystem:
     raise FbeError(f"--ifs {spec!r}: no such file or built-in system")
 
 
-def _get_cloud(ifs: IfsSystem, cell: float, depth: int = 200):
+def _get_cloud(ifs: IfsSystem, cell: float):
     cache_path = io.cached_attractor_path(ifs, cell)
     if cache_path is not None and cache_path.exists():
         return io.load_cached(cache_path, ifs)
-    cloud = attractor(ifs, ifs.fixed_points(), depth=depth, cell=cell)
+    cloud = attractor(ifs, cell)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         io.cache_attractor(ifs, cloud, cache_path)
     return cloud
 
 
+def _number(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise FbeError(f"{text!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+    return [_number(float, t) for t in text.split(",") if t.strip() != ""]
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    parts = [int(t) for t in text.split(",")]
+    parts = [_number(int, t) for t in text.split(",")]
     if len(parts) == 1:
         return parts[0], 1
     if len(parts) == 2:
@@ -81,7 +88,7 @@ def _cmd_attractor(args) -> int:
     if args.chaos:
         cloud = chaos_game(ifs, args.chaos, args.burn_in, args.seed)
     else:
-        cloud = _get_cloud(ifs, args.cell, args.depth)
+        cloud = _get_cloud(ifs, args.cell)
     if args.out:
         io.cache_attractor(ifs, cloud, args.out)
     lo, hi = cloud.bounding_box()
@@ -135,7 +142,7 @@ def _cmd_continuation(args) -> int:
 
 def _cmd_code(args) -> int:
     if args.op == "sigma":
-        print(format_address(sigma(int(args.n), parse_address(args.addr))))
+        print(format_address(sigma(_number(int, args.n), parse_address(args.addr))))
     elif args.op == "shift":
         print(format_address(shift(parse_address(args.addr))))
     elif args.op == "negate":
@@ -257,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attractor", help="compute and cache an attractor cloud")
     add_common(p)
-    p.add_argument("--depth", type=int, default=200)
     p.add_argument("--chaos", type=int, default=0, help="use a chaos-game orbit of N points")
     p.add_argument("--burn-in", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -342,7 +348,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (FbeError, FileNotFoundError) as e:
+    except (FbeError, OSError) as e:
         print(f"fbe: error: {e}", file=sys.stderr)
         return 2
 

@@ -22,14 +22,31 @@ SPACE_DIMS = {"R1": 1, "R2": 2, "R4": 4, "sphere": 3}
 Word = tuple[int, ...]
 
 
+def _attracting_point(f) -> np.ndarray:
+    """The attracting fixed point of one map, as a point of its space.
+
+    An affine map has one when its spectral radius is < 1. A det-1 Moebius
+    map has one when it is loxodromic: its eigenvalues l and 1/l differ in
+    modulus, that is tr^2 = (l + 1/l)^2 lies outside [0, 4] (Beardon 1983,
+    classification by trace). Any other map raises DomainError.
+    """
+    if isinstance(f, MoebiusMap):
+        tr2 = (f.a + f.d) ** 2
+        if tr2.imag != 0.0 or not 0.0 <= tr2.real <= 4.0:
+            return to_sphere(f.attracting_fixed_point())[0]
+    elif np.abs(np.linalg.eigvals(f.matrix)).max() < 1.0:
+        return f.fixed_point()
+    raise DomainError(f"map {f.coefficients()} has no attracting fixed point")
+
+
 @dataclass(frozen=True, eq=False)
 class IfsSystem:
     space: str
     maps: tuple
 
     def __post_init__(self):
-        if self.space not in SPACE_DIMS:
-            raise ValueError(f"unknown space {self.space!r}")
+        if not isinstance(self.space, str) or self.space not in SPACE_DIMS:
+            raise ValueError(f"space must be R1, R2, R4 or sphere, got {self.space!r}")
         maps = tuple(self.maps)
         if not maps:
             raise ValueError("an IFS needs at least one map")
@@ -110,11 +127,8 @@ class IfsSystem:
     # -- base points in the basin ----------------------------------------------
 
     def fixed_points(self) -> np.ndarray:
-        """Each map's attracting fixed point, as a point of the space."""
-        if self.is_sphere:
-            z = [m.attracting_fixed_point() for m in self.maps]
-            return to_sphere(np.array(z, dtype=complex))
-        return np.vstack([m.fixed_point() for m in self.maps])
+        """Each map's attracting fixed point pi((n)*), as a point of the space."""
+        return np.vstack([_attracting_point(m) for m in self.maps])
 
     def dual(self) -> "IfsSystem":
         """The system of inverse maps, same digit order."""
@@ -215,6 +229,9 @@ def _resolved_cloud(
 # The most image points one step of `attractor` may make: admits triangle
 # at cell 1e-3 (2,005,084) and stops expanding systems before memory does.
 MAX_IMAGE_POINTS = 1 << 22
+# The most steps `attractor` takes: the slowest built-in at the cells of
+# the tests and the benchmark, koch, repeats within 31.
+MAX_STEPS = 200
 
 
 def _snapped_step(ifs: IfsSystem, pts: np.ndarray, cell: float) -> np.ndarray:
@@ -230,25 +247,25 @@ def _snapped_step(ifs: IfsSystem, pts: np.ndarray, cell: float) -> np.ndarray:
     )
 
 
-def attractor(
-    ifs: IfsSystem,
-    seed: np.ndarray,
-    depth: int = 80,
-    cell: float = 1e-3,
-) -> AttractorCloud:
-    """Iterate S(X) = grid_dedup(F(X), cell) until a set repeats; return
-    the union U of the cycle, so that S(U) = U exactly.
+def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
+    """Iterate S(X) = grid_dedup(F(X), cell) from the maps' attracting fixed
+    points until a set repeats; return the union U of the cycle, so that
+    S(U) = U exactly.
 
     S maps a finite grid into itself, so the orbit ends in a fixed point or
     a cycle (Dubuc & Elqortobi 1990). A repeat is found by sha256 and
     confirmed by exact comparison. Snapping moves a point by at most
     delta = cell*sqrt(d)/2 <= cell (d <= 4), so with Lip(F) <= lam,
     H(U, A) <= H(S(U), F(U)) + H(F(U), F(A)) <= delta + lam * H(U, A)
-    and epsilon = cell/(1 - lam) bounds H(U, A). Raises NoConvergenceError,
-    carrying H(last, previous), if no set repeats within `depth` steps, and
-    ResolutionError if a step would make more than MAX_IMAGE_POINTS points.
+    and epsilon = cell/(1 - lam) bounds H(U, A). Raises DomainError for a
+    cell that is not a finite positive number and for a map with no
+    attracting fixed point, NoConvergenceError, carrying H(last, previous),
+    if no set repeats within MAX_STEPS steps, and ResolutionError if a step
+    would make more than MAX_IMAGE_POINTS points.
     """
-    pts = grid_dedup(np.atleast_2d(np.asarray(seed, dtype=float)), cell)
+    if not 0.0 < cell < np.inf:
+        raise DomainError(f"cell must be a finite positive number, got {cell!r}")
+    pts = grid_dedup(ifs.fixed_points(), cell)
     seen: dict[bytes, int] = {}
     prev, steps = None, 0
     while True:
@@ -264,7 +281,7 @@ def attractor(
             if np.array_equal(pts, cycle[0]):
                 pts = grid_dedup(np.concatenate(cycle[:-1]), cell)
                 break
-        elif steps == depth:
+        elif steps == MAX_STEPS:
             residual = np.inf if prev is None else hausdorff_distance(pts, prev)
             raise NoConvergenceError(
                 f"no repeated set after {steps} iterations (residual {residual:.3g})",
@@ -342,27 +359,12 @@ def coding_map(ifs: IfsSystem, addr: Address) -> np.ndarray:
     For an eventually periodic address the limit of f_{addr|k}(b) is the
     attracting fixed point of the one map f_p, moved by the (possibly
     inverse-containing) preperiod u. Raises DomainError outside J+ and when
-    f_p has no attracting fixed point: an affine f_p with spectral radius
-    >= 1, or a Moebius f_p that is not loxodromic, its det-1 matrix having
-    eigenvalues of equal modulus (Beardon 1983, classification by trace).
+    f_p has no attracting fixed point.
     """
     cls = validate(addr, ifs.n_maps)
     if not addr.is_infinite or not cls.in_Jplus:
         raise DomainError(f"address {addr} is not in the coding map's domain")
-    f_p = _period_map(ifs, addr.period)
-    if ifs.is_sphere:
-        # det 1: the eigenvalues l and 1/l have equal modulus iff
-        # tr^2 = (l + 1/l)^2 lies in [0, 4]
-        tr2 = (f_p.a + f_p.d) ** 2
-        attracting = tr2.imag != 0.0 or not 0.0 <= tr2.real <= 4.0
-    else:
-        attracting = np.abs(np.linalg.eigvals(f_p.matrix)).max() < 1.0
-    if not attracting:
-        raise DomainError(f"address {addr}: f_p has no attracting fixed point")
-    if ifs.is_sphere:
-        fixed = to_sphere(f_p.attracting_fixed_point())
-    else:
-        fixed = f_p.fixed_point()
+    fixed = _attracting_point(_period_map(ifs, addr.period))
     return ifs.apply_word(addr.pre, fixed)[0]
 
 

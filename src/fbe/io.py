@@ -20,64 +20,69 @@ from .maps import AffineMap, MoebiusMap
 CACHE_ENV = "FBE_CACHE_DIR"
 
 
+def _numbers(v, what: str) -> np.ndarray:
+    """JSON numbers as a float array; anything else is a SpecFormatError."""
+    try:
+        arr = np.asarray(v)
+        ok = arr.dtype.kind in "iuf" and np.isfinite(arr).all()
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise SpecFormatError(f"{what} must be finite numbers")
+    return arr.astype(float)
+
+
 def _complex_from_pair(v, what: str) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+    pair = _numbers(v, what)
+    if pair.shape != (2,):
         raise SpecFormatError(f"{what} must be a [re, im] pair")
-    return complex(float(v[0]), float(v[1]))
+    return complex(pair[0], pair[1])
+
+
+def _parse_map(idx: int, m):
+    if not isinstance(m, dict):
+        raise SpecFormatError(f"map {idx} must be a JSON object")
+    kind = m.get("type")
+    if kind == "affine":
+        amap = AffineMap(
+            _numbers(m.get("matrix"), f"map {idx} matrix"),
+            _numbers(m.get("offset"), f"map {idx} offset"),
+        )
+        if abs(np.linalg.det(amap.matrix)) < 1e-300:
+            raise NonInvertibleMapError(idx, f"map {idx}: affine matrix is singular")
+        return amap
+    if kind == "moebius":
+        coefs = [_complex_from_pair(m.get(k), f"map {idx} {k}") for k in "abcd"]
+        try:
+            return MoebiusMap(*coefs)
+        except NonInvertibleMapError:
+            raise NonInvertibleMapError(
+                idx, f"map {idx}: moebius map has ad - bc = 0"
+            ) from None
+    raise SpecFormatError(f"map {idx}: unknown type {kind!r}")
 
 
 def parse_spec(data: dict) -> IfsSystem:
     if not isinstance(data, dict):
         raise SpecFormatError("spec must be a JSON object")
-    space = data.get("space")
-    if space not in ("R1", "R2", "R4", "sphere"):
-        raise SpecFormatError(f"space must be R1, R2, R4 or sphere, got {space!r}")
     raw_maps = data.get("maps")
     if not isinstance(raw_maps, list) or not raw_maps:
         raise SpecFormatError("maps must be a nonempty list")
-    maps = []
-    for idx, m in enumerate(raw_maps, start=1):
-        kind = m.get("type")
-        if kind == "affine":
-            if space == "sphere":
-                raise SpecFormatError(f"map {idx}: affine map in a sphere spec")
-            matrix = np.asarray(m.get("matrix"), dtype=float)
-            offset = np.asarray(m.get("offset"), dtype=float)
-            try:
-                amap = AffineMap(matrix, offset)
-            except ValueError as e:
-                raise SpecFormatError(f"map {idx}: {e}") from None
-            if abs(np.linalg.det(amap.matrix)) < 1e-300:
-                raise NonInvertibleMapError(
-                    idx, f"map {idx}: affine matrix is singular"
-                )
-            maps.append(amap)
-        elif kind == "moebius":
-            if space != "sphere":
-                raise SpecFormatError(f"map {idx}: moebius map needs sphere space")
-            try:
-                maps.append(
-                    MoebiusMap(
-                        _complex_from_pair(m.get("a"), f"map {idx} a"),
-                        _complex_from_pair(m.get("b"), f"map {idx} b"),
-                        _complex_from_pair(m.get("c"), f"map {idx} c"),
-                        _complex_from_pair(m.get("d"), f"map {idx} d"),
-                    )
-                )
-            except NonInvertibleMapError:
-                raise NonInvertibleMapError(
-                    idx, f"map {idx}: moebius map has ad - bc = 0"
-                ) from None
-        else:
-            raise SpecFormatError(f"map {idx}: unknown type {kind!r}")
-    return IfsSystem(space, tuple(maps))
+    # AffineMap's shape check and IfsSystem's space, type and dimension
+    # checks raise ValueError
+    try:
+        maps = [_parse_map(idx, m) for idx, m in enumerate(raw_maps, start=1)]
+        return IfsSystem(data.get("space"), tuple(maps))
+    except ValueError as e:
+        raise SpecFormatError(str(e)) from None
 
 
 def load_spec(path) -> IfsSystem:
     """Load and validate an IFS spec file (JSON)."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_bytes())
+    except UnicodeDecodeError:
+        raise SpecFormatError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise SpecFormatError(
             f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"

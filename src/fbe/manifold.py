@@ -62,6 +62,8 @@ def manifold_point(
     if any(d >= 0 for d in theta):
         raise DomainError("integer part must be a word over the negative digits")
     x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (ifs.dim,):
+        raise DomainError(f"fractional point has {x.size} coordinates, not {ifs.dim}")
     if cloud.dist_point(x) > cloud.tau:
         raise DomainError("fractional point is not on the attractor cloud")
     if theta:
@@ -292,13 +294,13 @@ def branch_points(
     gluing sets) have no branch points.
     """
     tol = 2 * cloud.tau
+    leaves = enumerate_leaves(ifs.n_maps, depth)  # refuses depth < 0
     if depth < 1:
         return []
     glue = {i: _gluing_points(ifs, cloud, i) for i in range(1, ifs.n_maps + 1)}
     if all(not g for g in glue.values()):
         return []
 
-    leaves = enumerate_leaves(ifs.n_maps, depth)
     closure_clouds = {}
     for phi in leaves:
         if not phi:

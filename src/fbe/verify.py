@@ -103,7 +103,7 @@ def run_verify(
     report = VerifyReport(system=system_name)
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     if cloud is None:
-        cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=cell)
+        cloud = attractor(ifs, cell)
     eps, tau = cloud.epsilon, cloud.tau
 
     def invariance():

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -27,32 +30,46 @@ def koch_ifs():
 @pytest.fixture(scope="session")
 def cantor_cloud(cantor_ifs):
     # cell 3^-8: 256 points, eps = 1.5 * 3^-8
-    return attractor(cantor_ifs, cantor_ifs.fixed_points(), cell=3.0**-8)
+    return attractor(cantor_ifs, 3.0**-8)
 
 
 @pytest.fixture(scope="session")
 def cantor_cloud_fine(cantor_ifs):
     # cell 3^-11: tau = 4.5 * 3^-11 < 3^-6, needed by the membership checks
-    return attractor(cantor_ifs, cantor_ifs.fixed_points(), cell=3.0**-11)
+    return attractor(cantor_ifs, 3.0**-11)
 
 
 @pytest.fixture(scope="session")
 def interval_cloud(interval_ifs):
-    return attractor(interval_ifs, interval_ifs.fixed_points(), cell=2.0**-10)
+    return attractor(interval_ifs, 2.0**-10)
 
 
 @pytest.fixture(scope="session")
 def interval_cloud_fine(interval_ifs):
-    return attractor(interval_ifs, interval_ifs.fixed_points(), cell=2.0**-13)
+    return attractor(interval_ifs, 2.0**-13)
 
 
 @pytest.fixture(scope="session")
 def sierpinski_cloud(sierpinski_ifs):
-    return attractor(
-        sierpinski_ifs, sierpinski_ifs.fixed_points(), cell=2.0**-7
-    )
+    return attractor(sierpinski_ifs, 2.0**-7)
 
 
 @pytest.fixture(scope="session")
 def rng():
     return np.random.Generator(np.random.PCG64(20240917))
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

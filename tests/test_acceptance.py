@@ -51,7 +51,7 @@ def _report(n, name, detail):
 
 @pytest.fixture(scope="module")
 def cantor12(cantor_ifs):
-    return attractor(cantor_ifs, cantor_ifs.fixed_points(), cell=3.0**-12)
+    return attractor(cantor_ifs, 3.0**-12)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def arc_ifs():
 
 @pytest.fixture(scope="module")
 def arc_cloud(arc_ifs):
-    return attractor(arc_ifs, arc_ifs.fixed_points(), depth=400, cell=2e-4)
+    return attractor(arc_ifs, 2e-4)
 
 
 @pytest.fixture(scope="module")
@@ -412,7 +412,7 @@ def test_acceptance_09_mobius_arc(arc_ifs, arc_cloud):
 
 
 def test_acceptance_10_projective(proj_ifs):
-    primary = attractor(proj_ifs, proj_ifs.fixed_points(), depth=300, cell=1e-3)
+    primary = attractor(proj_ifs, 1e-3)
     zp = from_sphere(primary.points)
     xs = np.sort(zp.real)
     assert xs[0] <= 4e-3 and xs[-1] >= 1 - 4e-3
@@ -420,7 +420,7 @@ def test_acceptance_10_projective(proj_ifs):
     assert np.abs(zp.imag).max() <= 1e-3
 
     d_ifs = proj_ifs.dual()
-    dual_cloud = attractor(d_ifs, d_ifs.fixed_points(), depth=400, cell=5e-4)
+    dual_cloud = attractor(d_ifs, 5e-4)
     zd = from_sphere(dual_cloud.points)
     finite = np.isfinite(zd.real)
     xr = zd.real[finite]

@@ -132,7 +132,7 @@ def test_raster_sierpinski_translates(sierpinski_ifs, sierpinski_cloud, rng):
 
 @pytest.fixture(scope="module")
 def koch_cloud(koch_ifs):
-    return attractor(koch_ifs, koch_ifs.fixed_points(), depth=300, cell=2.0**-7)
+    return attractor(koch_ifs, 2.0**-7)
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,6 +318,17 @@ def test_membership_tol_below_tau(cantor_ifs, cantor_cloud):
         membership(cantor_ifs, cantor_cloud, [0.5], depth=2, tol=cantor_cloud.tau / 10)
 
 
+def test_membership_along_tol_below_tau(interval_ifs, interval_cloud):
+    # the continuation route has the floor of the full search
+    theta, tol = A("(1.2)*"), interval_cloud.tau / 10
+    with pytest.raises(ResolutionError):
+        membership_along(interval_ifs, interval_cloud, [3.9], theta, depth=2, tol=tol)
+    with pytest.raises(ResolutionError):
+        basin_inclusion_check(
+            interval_ifs, interval_cloud, [[3.9]], depth=2, tol=tol, theta=theta
+        )
+
+
 def test_membership_raster_agreement(cantor_ifs, cantor_cloud, rng):
     nx, depth = 128, 2
     ras = fast_basin_raster(cantor_ifs, cantor_cloud, (-3.0, 3.0), nx, 1, depth=depth)
@@ -414,7 +425,7 @@ def test_membership_on_sphere():
     from fbe.ifs import attractor
 
     ifs = systems.mobius_arc()
-    cloud = attractor(ifs, ifs.fixed_points(), depth=300, cell=1e-3)
+    cloud = attractor(ifs, 1e-3)
     target = ifs.apply_word((-2, -1), cloud.points[128][None, :])[0]
     res = membership(ifs, cloud, target, depth=3, tol=cloud.tau)
     assert res.reached

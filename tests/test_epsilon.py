@@ -37,7 +37,7 @@ def _hausdorff_bound(cloud, s: np.ndarray, r: float) -> float:
 
 def _cloud(name: str, cell: float):
     ifs = systems.by_name(name)
-    return attractor(ifs, ifs.fixed_points(), depth=200, cell=cell)
+    return attractor(ifs, cell)
 
 
 def test_interval_epsilon_against_unit_interval():

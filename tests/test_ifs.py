@@ -1,6 +1,4 @@
-import contextlib
 import itertools
-import signal
 
 import numpy as np
 import pytest
@@ -21,6 +19,7 @@ from fbe.ifs import (
 )
 from fbe.maps import AffineMap, MoebiusMap, from_sphere
 
+from conftest import _time_limit
 from oracles import cantor_level_points, orbit_limit
 
 A = parse_address
@@ -90,14 +89,14 @@ def test_moebius_lipschitz_is_the_chordal_maximum(name):
 
 
 def test_attractor_cantor_vs_level_cover(cantor_ifs):
-    cloud = attractor(cantor_ifs, np.array([[0.0]]), cell=3.0**-8)
+    cloud = attractor(cantor_ifs, 3.0**-8)
     cover = np.array([[float(q)] for q in cantor_level_points(8)])
     assert hausdorff_distance(cloud.points, cover) <= 3.0**-7
 
 
 def test_attractor_interval_gaps(interval_ifs):
     cell = 2.0**-9
-    cloud = attractor(interval_ifs, interval_ifs.fixed_points(), cell=cell)
+    cloud = attractor(interval_ifs, cell)
     xs = np.sort(cloud.points[:, 0])
     assert xs[0] <= 2 * cell and xs[-1] >= 1 - 2 * cell
     assert np.max(np.diff(xs)) <= 2 * cell
@@ -105,15 +104,16 @@ def test_attractor_interval_gaps(interval_ifs):
 
 def test_attractor_single_map():
     ifs = IfsSystem("R1", (AffineMap(np.array([[0.5]]), np.array([0.0])),))
-    cloud = attractor(ifs, np.array([[1.0]]), cell=1e-3)
+    cloud = attractor(ifs, 1e-3)
     assert np.abs(cloud.points).max() <= 1e-3
 
 
-def test_attractor_no_convergence():
-    ifs = IfsSystem("R1", (AffineMap(np.array([[0.5]]), np.array([0.0])),))
-    with pytest.raises(NoConvergenceError) as ei:
-        attractor(ifs, np.array([[1.0]]), depth=2, cell=1e-9)
-    assert ei.value.residual is not None
+def test_attractor_no_convergence(cantor_ifs, monkeypatch):
+    # cantor at 3^-8 repeats after 8 steps
+    monkeypatch.setattr(fbe.ifs, "MAX_STEPS", 4)
+    with pytest.raises(NoConvergenceError, match="after 4 iterations") as ei:
+        attractor(cantor_ifs, 3.0**-8)
+    assert 0.0 < ei.value.residual < np.inf
 
 
 @pytest.mark.parametrize("name", sorted(systems.SYSTEMS))
@@ -122,7 +122,7 @@ def test_attractor_is_exact_fixed_point(name):
     cell = {"cantor": 3.0**-8, "triangle": 2.0**-6, "quadratic_graph": 1 / 16}
     cell = cell.get(name, 2.0**-7)
     ifs = systems.by_name(name)
-    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=cell)
+    cloud = attractor(ifs, cell)
     imgs = np.concatenate(
         [ifs.transform(i, cloud.points) for i in range(1, ifs.n_maps + 1)]
     )
@@ -132,19 +132,23 @@ def test_attractor_is_exact_fixed_point(name):
 
 
 def test_attractor_koch_two_cycle(koch_ifs):
-    cloud = attractor(koch_ifs, koch_ifs.fixed_points(), depth=200, cell=2.0**-8)
+    cloud = attractor(koch_ifs, 2.0**-8)
     assert cloud.meta["cycle"] == 2
     with _time_limit(30.0):
-        cloud = attractor(koch_ifs, koch_ifs.fixed_points(), depth=200, cell=1e-3)
+        cloud = attractor(koch_ifs, 1e-3)
     assert cloud.meta["cycle"] == 2
 
 
 def test_attractor_refuses_runaway_growth(monkeypatch):
+    # each shear attracts, but their products expand
     monkeypatch.setattr(fbe.ifs, "MAX_IMAGE_POINTS", 10_000)
-    double = [AffineMap(np.array([[2.0]]), np.array([t])) for t in (0.0, 1.0)]
-    ifs = IfsSystem("R1", tuple(double))
+    shears = [
+        AffineMap(np.array([[0.5, 4.0], [0.0, 0.5]]), np.array([1.0, 0.0])),
+        AffineMap(np.array([[0.5, 0.0], [4.0, 0.5]]), np.array([0.0, 1.0])),
+    ]
+    ifs = IfsSystem("R2", tuple(shears))
     with _time_limit(1.0), pytest.raises(ResolutionError, match="10000"):
-        attractor(ifs, ifs.fixed_points(), depth=200, cell=1e-3)
+        attractor(ifs, 1e-3)
 
 
 def test_attractor_f_invariance(cantor_cloud, cantor_ifs, sierpinski_cloud, sierpinski_ifs):
@@ -176,7 +180,7 @@ def test_chaos_game_sphere():
     ifs = systems.mobius_arc()
     orbit = chaos_game(ifs, 5000, rng_seed=0)
     assert np.allclose(np.linalg.norm(orbit.points, axis=1), 1.0)
-    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=0.002)
+    cloud = attractor(ifs, 0.002)
     bound = orbit.epsilon + cloud.epsilon
     assert hausdorff_distance(orbit.points, cloud.points) <= bound
 
@@ -268,22 +272,6 @@ def test_hausdorff_empty_error():
         hausdorff_distance(np.empty((0, 1)), np.array([[1.0]]))
 
 
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in the block once `seconds` of wall time pass."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def test_coding_map_stops_at_float_resolution():
     # a prefix with an inverse digit before a three-digit period on a
     # Moebius system: f_u(Fix f_p) returns within the limit, and the shift
@@ -311,8 +299,11 @@ def _rotation_r2():
     ids=["affine-rotation", "moebius-parabolic"],
 )
 def test_coding_map_refuses_period_without_attracting_fixed_point(ifs):
+    # the same rule refuses the attractor: Fix f_1 = pi((1)*) is its seed
     with _time_limit(1.0), pytest.raises(DomainError):
         coding_map(ifs, A("(1)*"))
+    with _time_limit(1.0), pytest.raises(DomainError):
+        attractor(ifs, 1e-3)
 
 
 def test_verify_mobius_arc_seed_10():
@@ -384,7 +375,7 @@ def test_random_address_validity(rng):
 
 def test_mobius_arc_on_circle():
     ifs = systems.mobius_arc()
-    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=1e-3)
+    cloud = attractor(ifs, 1e-3)
     z = from_sphere(cloud.points)
     residual = np.abs(np.abs(z - 1.5j) - 0.5)
     assert residual.max() <= 10 * cloud.epsilon

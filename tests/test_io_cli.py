@@ -1,16 +1,18 @@
 import importlib.util
 import json
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fbe.ifs
 from fbe import io, systems
 from fbe.cli import main
 from fbe.errors import NonInvertibleMapError, SpecFormatError, StaleCacheError
 from fbe.ifs import AttractorCloud, attractor
+
+from conftest import _time_limit
 
 
 @pytest.fixture()
@@ -332,7 +334,7 @@ def test_cli_continuation(tmp_path, capsys):
     assert header.startswith("FBE-CLOUD v1")
     # three inverse maps of Lipschitz constant 2 scale the resolution by 8
     ifs = systems.interval()
-    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=1e-3)
+    cloud = attractor(ifs, 1e-3)
     assert float(header.split()[3]) == 8 * cloud.epsilon
 
 
@@ -363,15 +365,117 @@ def test_cli_unknown_system():
     assert main(["verify", "--ifs", "nope-such-system"]) == 2
 
 
-def test_cli_attractor_runaway_growth(tmp_path, monkeypatch, capsys):
-    # x -> 2x, x -> 2x + 1 expands: the step budget stops it with exit 2
-    monkeypatch.setattr(fbe.ifs, "MAX_IMAGE_POINTS", 10_000)
+def test_cli_attractor_runaway_growth(tmp_path, capsys):
+    # x -> 2x, x -> 2x + 1 has no attracting fixed point: exit 2 at once
     maps = [{"type": "affine", "matrix": [[2.0]], "offset": [t]} for t in (0.0, 1.0)]
     path = tmp_path / "expanding.json"
     path.write_text(json.dumps({"space": "R1", "maps": maps}))
-    assert main(["attractor", "--ifs", str(path)]) == 2
+    with _time_limit(1.0):
+        assert main(["attractor", "--ifs", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("fbe: error: ")
+
+
+# -- malformed input: exit 2 with one error line ----------------------------------
+
+
+def _exits_2(argv, capsys):
+    # warnings raise: a run that divides by zero on its way is no clean exit
+    with _time_limit(5.0), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1 and err[0].startswith("fbe: error: "), err
+
+
+def _affine(matrix=((0.5,),), offset=(0.0,)):
+    return {"type": "affine", "matrix": matrix, "offset": offset}
+
+
+_MOEBIUS = {"type": "moebius", "a": [1, 0], "b": [0, 0], "c": [0, 0], "d": [2, 0]}
+
+
+_SPECS = {
+    "map-not-object": {"space": "R1", "maps": [1]},
+    "matrix-text": {"space": "R1", "maps": [_affine(matrix="abc")]},
+    "matrix-nan": {"space": "R1", "maps": [_affine(matrix=[[float("nan")]])]},
+    "matrix-bool": {"space": "R1", "maps": [_affine(matrix=[[True]])]},
+    "matrix-quoted": {"space": "R1", "maps": [_affine(matrix=[["0.5"]])]},
+    "offset-inf": {"space": "R1", "maps": [_affine(offset=[1e400])]},
+    "offset-missing": {"space": "R1", "maps": [{"type": "affine", "matrix": [[0.5]]}]},
+    "matrix-ragged": {
+        "space": "R2",
+        "maps": [_affine(matrix=[[0.5, 0.0], [0.0]], offset=[0, 0])],
+    },
+    "offset-short": {
+        "space": "R2",
+        "maps": [_affine(matrix=[[0.5, 0.0], [0.0, 0.5]], offset=[0.0])],
+    },
+    "dimension": {"space": "R2", "maps": [_affine()]},
+    "space-unknown": {"space": "R3", "maps": [_affine()]},
+    "space-list": {"space": ["R1"], "maps": [_affine()]},
+    "affine-on-sphere": {"space": "sphere", "maps": [_affine()]},
+    "moebius-on-R1": {"space": "R1", "maps": [_MOEBIUS]},
+    "moebius-text": {"space": "sphere", "maps": [{**_MOEBIUS, "a": ["x", 0]}]},
+    "moebius-triple": {"space": "sphere", "maps": [{**_MOEBIUS, "b": [0, 0, 0]}]},
+    "moebius-null": {"space": "sphere", "maps": [{**_MOEBIUS, "c": None}]},
+    "type-unknown": {"space": "R1", "maps": [{"type": "shear"}]},
+    "no-maps": {"space": "R1", "maps": []},
+    "not-object": [],
+}
+
+
+@pytest.mark.parametrize("spec", _SPECS.values(), ids=_SPECS)
+def test_cli_malformed_spec(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    _exits_2(["attractor", "--ifs", str(path)], capsys)
+
+
+def test_cli_unreadable_spec(tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(b'{"space": "R\xb9"}')
+    _exits_2(["attractor", "--ifs", str(tmp_path / "latin1.json")], capsys)
+    _exits_2(["attractor", "--ifs", str(tmp_path)], capsys)  # a directory
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fastbasin", "--region", "a,b", "--grid", "8"],
+        ["fastbasin", "--region", "nan,1", "--grid", "8"],
+        ["fastbasin", "--region", "1,0", "--grid", "8"],
+        ["fastbasin", "--region", "-3,3", "--grid", "x"],
+        ["fastbasin", "--region", "-3,3", "--grid", "0"],
+        ["fastbasin", "--region", "-3,3", "--grid", "8", "--tol", "nan"],
+        ["manifold", "dist", "--a", "-1:abc", "--b", "-1:0.75"],
+        ["manifold", "dist", "--a", "-1:0.75,0.2", "--b", "-1:0.75"],
+        ["attractor", "--cell", "nan"],
+        ["attractor", "--cell", "0"],
+        ["attractor", "--cell", "-1"],
+        ["attractor", "--cell", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_cli_malformed_value(capsys, argv):
+    if "--cell" not in argv:
+        argv = argv + ["--cell", "0.01"]
+    _exits_2(argv + ["--ifs", "interval"], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["code", "sigma", "x", "(2)*"],
+        ["code", "disjunctive", "--n-maps", "0", "--length", "5"],
+        ["code", "disjunctive", "--n-maps", "2", "--length", "-1"],
+        ["continuation", "--ifs", "interval", "--theta", "(1)*", "--k", "-1"],
+        ["manifold", "branch", "--ifs", "interval", "--depth", "-1"],
+        ["manifold", "leaves", "--ifs", "interval", "--depth", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_cli_malformed_digit_or_count(capsys, argv):
+    _exits_2(argv, capsys)
 
 
 def test_cli_cache_dir(tmp_path, monkeypatch):

@@ -134,7 +134,7 @@ def test_distance_error_bound_is_verify_slack(name, cell):
     # verify's metric checks take 2 * error_bound as their slack; it equals
     # 4 * Lip(f_common) * eps bit for bit, as a power-of-two factor is exact
     ifs = systems.by_name(name)
-    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=cell)
+    cloud = attractor(ifs, cell)
     rng = np.random.Generator(np.random.PCG64(5))
     pts = _random_manifold_points(ifs, cloud, rng, 30)
     for a in pts:
@@ -348,7 +348,7 @@ def test_verify_leaf_shape_count_sees_drift():
     # an inverse map that no longer undoes its map moves pulled-back leaf
     # shapes off their leaf sets
     ifs = systems.interval()
-    cloud = attractor(ifs, ifs.fixed_points(), cell=0.002)
+    cloud = attractor(ifs, 0.002)
 
     def leaf_check(ifs):
         report = run_verify(ifs, cloud, cell=0.002)
@@ -366,7 +366,7 @@ def test_verify_coding_fixed_points_sees_solver_error(monkeypatch):
     # the check reads pi((n)*) against f_n itself, so an error in the
     # fixed-point solver that the coding map calls makes it fail
     ifs = systems.interval()
-    cloud = attractor(ifs, ifs.fixed_points(), cell=0.002)
+    cloud = attractor(ifs, 0.002)
 
     def fixed_point_check():
         report = run_verify(ifs, cloud, cell=0.002)
@@ -462,7 +462,7 @@ def test_branch_points_depth_zero(interval_ifs, interval_cloud):
 def test_gluing_points_are_junctions(name, cell):
     # pieces f_i(A) of a nested fractal meet at pi(i.(j)*) = f_i(Fix f_j)
     ifs = systems.by_name(name)
-    cloud = attractor(ifs, ifs.fixed_points(), cell=cell)
+    cloud = attractor(ifs, cell)
     for i in range(1, ifs.n_maps + 1):
         junctions = [
             coding_map(ifs, Address((i,), (j,)))
@@ -477,7 +477,7 @@ def test_gluing_points_are_junctions(name, cell):
 
 def test_branch_points_sierpinski_cell_independent(sierpinski_ifs):
     def projections(cell):
-        cloud = attractor(sierpinski_ifs, sierpinski_ifs.fixed_points(), cell=cell)
+        cloud = attractor(sierpinski_ifs, cell)
         return [p.proj for p, _ in branch_points(sierpinski_ifs, cloud, depth=3)]
 
     coarse, fine = projections(2.0**-8), projections(2.0**-9)
@@ -488,7 +488,7 @@ def test_branch_points_sierpinski_cell_independent(sierpinski_ifs):
 @pytest.mark.parametrize("name, cell", [("sierpinski", 2.0**-8), ("interpolation", 2.0**-7)])
 def test_branch_points_on_attractor_are_fixed_points(name, cell):
     ifs = systems.by_name(name)
-    cloud = attractor(ifs, ifs.fixed_points(), cell=cell)
+    cloud = attractor(ifs, cell)
     found = branch_points(ifs, cloud, depth=3)
     on_a = sorted(tuple(p.proj) for p, _ in found if not p.theta)
     assert on_a == sorted(tuple(q) for q in ifs.fixed_points())

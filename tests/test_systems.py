@@ -34,7 +34,7 @@ def test_lipschitz_bound_flags():
 )
 def test_affine_systems_converge_and_invariant(name, cell):
     ifs = systems.by_name(name)
-    cloud = attractor(ifs, ifs.fixed_points(), depth=300, cell=cell)
+    cloud = attractor(ifs, cell)
     imgs = np.concatenate(
         [ifs.transform(i, cloud.points) for i in range(1, ifs.n_maps + 1)]
     )
@@ -44,7 +44,7 @@ def test_affine_systems_converge_and_invariant(name, cell):
 def test_quadratic_graph_is_graph_of_square():
     # points are (Re z, Im z, Re w, Im w) with w = z^2 on the attractor
     ifs = systems.by_name("quadratic_graph")
-    cloud = attractor(ifs, ifs.fixed_points(), depth=60, cell=0.05)
+    cloud = attractor(ifs, 0.05)
     z = cloud.points[:, 0] + 1j * cloud.points[:, 1]
     w = cloud.points[:, 2] + 1j * cloud.points[:, 3]
     # snapping moves points off the graph by at most the cell diagonal
@@ -63,7 +63,7 @@ def test_triangle_subdivision_geometry():
 
 def test_schottky_attractor_near_units():
     ifs = systems.schottky(0.15)
-    cloud = attractor(ifs, ifs.fixed_points(), depth=200, cell=1e-3)
+    cloud = attractor(ifs, 1e-3)
     from fbe.maps import from_sphere
 
     z = from_sphere(cloud.points)
