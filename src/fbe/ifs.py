@@ -189,12 +189,16 @@ class AttractorCloud:
 def grid_dedup(pts: np.ndarray, cell: float) -> np.ndarray:
     """Keep one representative per grid cell: the cell centre.
 
-    Order-independent (np.unique sorts), so parallel or reordered
-    evaluation produces identical clouds.
+    One np.lexsort pass sorts the integer cell rows, first column first,
+    and drops each row equal to its predecessor. The output is in
+    lexicographic order of the cell indices whatever the input order, so
+    parallel or reordered evaluation produces identical clouds.
     """
     idx = np.floor(pts / cell).astype(np.int64)
-    uniq = np.unique(idx, axis=0)
-    return (uniq + 0.5) * cell
+    idx = idx[np.lexsort(idx.T[::-1])]
+    keep = np.ones(idx.shape[0], dtype=bool)
+    keep[1:] = np.any(idx[1:] != idx[:-1], axis=1)
+    return (idx[keep] + 0.5) * cell
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -295,6 +299,23 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
     return _resolved_cloud(ifs, pts, cell, meta)
 
 
+def _orbit_residual(imgs: np.ndarray, out: np.ndarray, digits: np.ndarray) -> float:
+    """hausdorff_distance(imgs, out) for an orbit with imgs = F(out) and
+    out[j] = f_{digits[j-1]}(out[j-1]), with few queries of the imgs tree.
+
+    Row (digits[j-1] - 1) * len(out) + j - 1 of imgs is out[j] up to
+    rounding, so the distance u_j between them bounds out[j]'s distance to
+    imgs. A row with u_j <= h/2, h the distance from imgs to out, cannot
+    raise the maximum above h and is not queried; the margin of 1/2
+    covers rounding. The result is the same float as hausdorff_distance.
+    """
+    n = out.shape[0]
+    h = cKDTree(out).query(imgs)[0].max()
+    u = np.linalg.norm(out[1:] - imgs[(digits - 1) * n + np.arange(n - 1)], axis=1)
+    rows = np.concatenate([[0], np.flatnonzero(~(u <= h / 2)) + 1])
+    return float(max(h, cKDTree(imgs).query(out[rows])[0].max()))
+
+
 def chaos_game(
     ifs: IfsSystem,
     n: int,
@@ -321,9 +342,10 @@ def chaos_game(
             x = mats[d - 1] @ x + offs[d - 1]
             if k >= burn_in:
                 out[k - burn_in] = x
-    residual = hausdorff_distance(
+    residual = _orbit_residual(
         np.concatenate([ifs.transform(i, out) for i in range(1, ifs.n_maps + 1)]),
         out,
+        digits[burn_in + 1 :],
     )
     meta = {
         "method": "chaos",

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import fbe.ifs
 from fbe import systems
@@ -131,6 +132,25 @@ def test_attractor_is_exact_fixed_point(name):
     assert again.tobytes() == cloud.points.tobytes()
 
 
+def _dedup_cases():
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3, 4):
+        yield rng.uniform(-3.0, 2.0, size=(5000, dim)), 0.01
+        # heavy duplication: 4000 rows in at most 3^dim cells
+        yield rng.integers(-1, 2, size=(4000, dim)) + rng.uniform(0, 0.5, (4000, dim)), 1.0
+    # rows that differ only in the last column, in reverse order
+    rows = np.zeros((50, 3))
+    rows[:, 2] = np.arange(50)[::-1] - 25.5
+    yield rows, 1.0
+    yield np.array([[-0.25, 7.0]]), 0.1
+
+
+@pytest.mark.parametrize("pts, cell", list(_dedup_cases()))
+def test_grid_dedup_matches_unique(pts, cell):
+    uniq = np.unique(np.floor(pts / cell).astype(np.int64), axis=0)
+    assert grid_dedup(pts, cell).tobytes() == ((uniq + 0.5) * cell).tobytes()
+
+
 def test_attractor_koch_two_cycle(koch_ifs):
     cloud = attractor(koch_ifs, 2.0**-8)
     assert cloud.meta["cycle"] == 2
@@ -183,6 +203,35 @@ def test_chaos_game_sphere():
     cloud = attractor(ifs, 0.002)
     bound = orbit.epsilon + cloud.epsilon
     assert hausdorff_distance(orbit.points, cloud.points) <= bound
+
+
+def _images(ifs, pts):
+    return np.concatenate([ifs.transform(i, pts) for i in range(1, ifs.n_maps + 1)])
+
+
+@pytest.mark.parametrize("name", ["cantor", "sierpinski", "mobius_arc"])
+def test_chaos_residual_is_hausdorff(name):
+    ifs = systems.by_name(name)
+    for seed in (1, 2):
+        orbit = chaos_game(ifs, 5000, rng_seed=seed)
+        exact = hausdorff_distance(_images(ifs, orbit.points), orbit.points)
+        assert orbit.meta["residual"] == exact
+
+
+def test_orbit_residual_queries_far_rows(sierpinski_ifs):
+    # a row moved off the attractor lies farther from F(out) than any
+    # image lies from out, and its twin bound fails: it must be queried
+    rng = np.random.default_rng(3)
+    digits = rng.integers(1, 4, size=999)
+    out = [sierpinski_ifs.fixed_points()[0]]
+    for d in digits:
+        out.append(sierpinski_ifs.transform(int(d), out[-1][None, :])[0])
+    out = np.array(out)
+    out[500] = (2.0, 2.0)
+    imgs = _images(sierpinski_ifs, out)
+    exact = hausdorff_distance(imgs, out)
+    assert exact > cKDTree(out).query(imgs)[0].max()
+    assert fbe.ifs._orbit_residual(imgs, out, digits) == exact
 
 
 def test_chaos_game_single_map():

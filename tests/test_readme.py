@@ -5,6 +5,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from fbe.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -16,6 +18,8 @@ def _cli_lines() -> list[str]:
     return [line for line in block.splitlines() if line.startswith("fbe ")]
 
 
+# a documented raster must not be finer than the cloud's tolerance
+@pytest.mark.filterwarnings("error::fbe.basin.ResolutionWarning")
 def test_readme_cli_block(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     lines = _cli_lines()
