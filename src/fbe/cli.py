@@ -41,6 +41,14 @@ def _resolve_ifs(spec: str) -> IfsSystem:
     raise FbeError(f"--ifs {spec!r}: no such file or built-in system")
 
 
+def _default_cell(spec: str) -> float:
+    """The declared cell of a built-in, else DEFAULT_CELL; a spec file
+    shadows a built-in's name, as in _resolve_ifs."""
+    if Path(spec).exists():
+        return systems.DEFAULT_CELL
+    return systems.CELLS.get(spec, systems.DEFAULT_CELL)
+
+
 def _get_cloud(ifs: IfsSystem, cell: float):
     cache_path = io.cached_attractor_path(ifs, cell)
     if cache_path is not None and cache_path.exists():
@@ -258,9 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    def add_common(p, cell_default=1e-3):
+    cells = "".join(f"; {k} {v:g}" for k, v in systems.CELLS.items())
+    cell_help = f"grid cell (default {systems.DEFAULT_CELL:g}{cells})"
+
+    def add_common(p):
         p.add_argument("--ifs", required=True, help="spec file or built-in name")
-        p.add_argument("--cell", type=float, default=cell_default)
+        p.add_argument("--cell", type=float, help=cell_help)
 
     p = sub.add_parser("attractor", help="compute and cache an attractor cloud")
     add_common(p)
@@ -346,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if "cell" in vars(args) and args.cell is None:
+        args.cell = _default_cell(args.ifs)
     try:
         return args.fn(args)
     except (FbeError, OSError) as e:

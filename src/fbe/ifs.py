@@ -205,14 +205,15 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Exact Hausdorff distance between finite point sets.
 
     Nearest-neighbour queries use a KD-tree; identical to the O(|a||b|)
-    brute force.
+    brute force. Each point's distance is computed alone, so the result
+    does not depend on the number of query threads.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise DomainError("hausdorff distance needs nonempty sets")
-    d_ab = cKDTree(b).query(a)[0].max()
-    d_ba = cKDTree(a).query(b)[0].max()
+    d_ab = cKDTree(b).query(a, workers=-1)[0].max()
+    d_ba = cKDTree(a).query(b, workers=-1)[0].max()
     return float(max(d_ab, d_ba))
 
 
@@ -271,8 +272,9 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
         raise DomainError(f"cell must be a finite positive number, got {cell!r}")
     pts = grid_dedup(ifs.fixed_points(), cell)
     seen: dict[bytes, int] = {}
-    prev, steps = None, 0
+    prev, sizes = None, []
     while True:
+        steps = len(sizes)
         period = steps - seen.setdefault(hashlib.sha256(pts).digest(), steps)
         if period == 1 and np.array_equal(pts, prev):
             break
@@ -280,7 +282,7 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
             cycle = [pts]
             for _ in range(period):
                 cycle.append(_snapped_step(ifs, cycle[-1], cell))
-            steps += period
+                sizes.append(len(cycle[-1]))
             prev, pts = cycle[-2:]
             if np.array_equal(pts, cycle[0]):
                 pts = grid_dedup(np.concatenate(cycle[:-1]), cell)
@@ -294,26 +296,52 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
         else:
             prev = pts  # the older set is freed before the step, not after it
             pts = _snapped_step(ifs, prev, cell)
-            steps += 1
-    meta = {"method": "hutchinson", "depth": steps, "cell": cell, "cycle": period}
+            sizes.append(len(pts))
+    meta = {
+        "method": "hutchinson",
+        "depth": len(sizes),
+        "cell": cell,
+        "cycle": period,
+        "sizes": sizes,
+    }
     return _resolved_cloud(ifs, pts, cell, meta)
 
 
-def _orbit_residual(imgs: np.ndarray, out: np.ndarray, digits: np.ndarray) -> float:
+def _orbit_residual(
+    imgs: np.ndarray, out: np.ndarray, digits: np.ndarray
+) -> tuple[float, list[int]]:
     """hausdorff_distance(imgs, out) for an orbit with imgs = F(out) and
-    out[j] = f_{digits[j-1]}(out[j-1]), with few queries of the imgs tree.
+    out[j + 1] = f_{digits[j]}(out[j]), and the rows queried in each
+    direction.
 
-    Row (digits[j-1] - 1) * len(out) + j - 1 of imgs is out[j] up to
-    rounding, so the distance u_j between them bounds out[j]'s distance to
-    imgs. A row with u_j <= h/2, h the distance from imgs to out, cannot
-    raise the maximum above h and is not queried; the margin of 1/2
-    covers rounding. The result is the same float as hausdorff_distance.
+    Row t_j = (digits[j] - 1) * len(out) + j of imgs is out[j + 1]'s twin:
+    equal up to rounding, at distance u_j. So u_j bounds both the twin's
+    distance to out and out[j + 1]'s distance to imgs, and a row with
+    u_j <= h/2, h the maximum found so far, cannot raise the maximum and is
+    not queried; the margin of 1/2 covers rounding, and a NaN u_j is
+    queried. The first direction queries the tree of out with the other
+    rows, map by map, then with the twins that fail the bound; the second
+    queries the tree of imgs with out[0] and the rows that fail it. The
+    result is the same float as hausdorff_distance.
     """
     n = out.shape[0]
-    h = cKDTree(out).query(imgs)[0].max()
-    u = np.linalg.norm(out[1:] - imgs[(digits - 1) * n + np.arange(n - 1)], axis=1)
+    twins = (digits - 1) * n + np.arange(n - 1)
+    u = np.linalg.norm(out[1:] - imgs[twins], axis=1)
+    tree = cKDTree(out)
+    # map by map, so that no copy of two thirds of imgs is made at once
+    nxt = np.append(digits, 0)  # the images of out[n - 1] have no twin
+    h, first = 0.0, 0
+    for i in range(imgs.shape[0] // n):
+        others = imgs[i * n : (i + 1) * n][nxt != i + 1]
+        h = max(h, tree.query(others, workers=-1)[0].max())
+        first += len(others)
+    far = twins[~(u <= h / 2)]
+    if far.size:
+        h = max(h, tree.query(imgs[far], workers=-1)[0].max())
+    del tree, twins  # freed before the second tree is built
     rows = np.concatenate([[0], np.flatnonzero(~(u <= h / 2)) + 1])
-    return float(max(h, cKDTree(imgs).query(out[rows])[0].max()))
+    d = cKDTree(imgs).query(out[rows], workers=-1)[0].max()
+    return float(max(h, d)), [first + far.size, rows.size]
 
 
 def chaos_game(
@@ -328,21 +356,23 @@ def chaos_game(
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     digits = rng.integers(1, ifs.n_maps + 1, size=n)
     x = ifs.fixed_points()[0]
-    out = np.empty((n - burn_in, ifs.dim))
     if ifs.is_sphere:
+        out = np.empty((n - burn_in, ifs.dim))
         z = from_sphere(x[None, :])
         for k, d in enumerate(digits):
             z = ifs.maps[d - 1].apply_complex(z)
             if k >= burn_in:
                 out[k - burn_in] = to_sphere(z)[0]
     else:
+        # the same matmul and add per step as A @ x + b, with no temporaries
         mats = [m.matrix for m in ifs.maps]
         offs = [m.offset for m in ifs.maps]
-        for k, d in enumerate(digits):
-            x = mats[d - 1] @ x + offs[d - 1]
-            if k >= burn_in:
-                out[k - burn_in] = x
-    residual = _orbit_residual(
+        orbit, buf = np.empty((n, ifs.dim)), np.empty(ifs.dim)
+        for k, d in enumerate(digits.tolist()):
+            np.matmul(mats[d - 1], x, out=buf)
+            x = np.add(buf, offs[d - 1], out=orbit[k])
+        out = orbit[burn_in:]
+    residual, queried = _orbit_residual(
         np.concatenate([ifs.transform(i, out) for i in range(1, ifs.n_maps + 1)]),
         out,
         digits[burn_in + 1 :],
@@ -354,6 +384,7 @@ def chaos_game(
         "rng": "PCG64",
         "rng_seed": rng_seed,
         "residual": residual,
+        "queried": queried,
     }
     return _resolved_cloud(ifs, out, residual, meta)
 

@@ -98,7 +98,8 @@ def save_spec(ifs: IfsSystem, path) -> None:
 
 
 def cache_attractor(ifs: IfsSystem, cloud: AttractorCloud, path) -> None:
-    """Write the header line, then the rows 4096 at a time."""
+    """Write the header line, then the rows 4096 at a time, each chunk
+    with one format call."""
     pts = cloud.points
     row = " ".join(["%.17g"] * pts.shape[1]) + "\n"
     with open(path, "w") as fh:
@@ -106,7 +107,8 @@ def cache_attractor(ifs: IfsSystem, cloud: AttractorCloud, path) -> None:
             f"FBE-CLOUD v1 {ifs.ifs_hash()} {cloud.epsilon:.17g} {pts.shape[0]}\n"
         )
         for s in range(0, pts.shape[0], 4096):
-            fh.write("".join(row % tuple(r) for r in pts[s : s + 4096].tolist()))
+            chunk = pts[s : s + 4096]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def load_cached(path, ifs: IfsSystem | None = None) -> AttractorCloud:

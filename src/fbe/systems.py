@@ -121,6 +121,12 @@ SYSTEMS = {
 }
 
 
+# The CLI's --cell default. quadratic_graph's point count grows about 4x
+# per step, and at 1e-3 a step would pass fbe.ifs.MAX_IMAGE_POINTS.
+DEFAULT_CELL = 1e-3
+CELLS = {"quadratic_graph": 1 / 32}
+
+
 def by_name(name: str) -> IfsSystem:
     try:
         return SYSTEMS[name]()

@@ -151,9 +151,22 @@ def test_grid_dedup_matches_unique(pts, cell):
     assert grid_dedup(pts, cell).tobytes() == ((uniq + 0.5) * cell).tobytes()
 
 
+def test_attractor_sizes(cantor_cloud, sierpinski_ifs):
+    assert cantor_cloud.meta["sizes"] == [2 ** (k + 1) for k in range(1, 8)] + [256]
+    cloud = attractor(sierpinski_ifs, 1e-3)
+    sizes = cloud.meta["sizes"]
+    # level-k gasket vertices, (3^(k+1) + 3) / 2, until cells merge them
+    assert sizes[:9] == [(3 ** (k + 1) + 3) // 2 for k in range(1, 10)]
+    assert len(sizes) == cloud.meta["depth"] == 16
+    assert sizes[-2:] == [90816, 90816] == [len(cloud.points)] * 2
+
+
 def test_attractor_koch_two_cycle(koch_ifs):
     cloud = attractor(koch_ifs, 2.0**-8)
     assert cloud.meta["cycle"] == 2
+    # a 2-cycle of sets of 9879 and 9878 points, whose union is the cloud
+    assert len(cloud.meta["sizes"]) == cloud.meta["depth"] == 30
+    assert cloud.meta["sizes"][-2:] == [9879, 9878] and len(cloud.points) == 9889
     with _time_limit(30.0):
         cloud = attractor(koch_ifs, 1e-3)
     assert cloud.meta["cycle"] == 2
@@ -205,11 +218,35 @@ def test_chaos_game_sphere():
     assert hausdorff_distance(orbit.points, cloud.points) <= bound
 
 
+@pytest.mark.parametrize("name", ["interval", "sierpinski", "koch", "quadratic_graph"])
+def test_chaos_orbit_matches_reference_loop(name):
+    # the orbit is the sequence x <- A @ x + b, bit for bit
+    ifs = systems.by_name(name)
+    digits = np.random.Generator(np.random.PCG64(2)).integers(1, ifs.n_maps + 1, 3000)
+    x, ref = ifs.fixed_points()[0], []
+    for d in digits:
+        x = ifs.maps[d - 1].matrix @ x + ifs.maps[d - 1].offset
+        ref.append(x)
+    orbit = chaos_game(ifs, 3000, rng_seed=2)
+    assert orbit.points.tobytes() == np.array(ref[64:]).tobytes()
+
+
 def _images(ifs, pts):
     return np.concatenate([ifs.transform(i, pts) for i in range(1, ifs.n_maps + 1)])
 
 
-@pytest.mark.parametrize("name", ["cantor", "sierpinski", "mobius_arc"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "cantor",
+        "interval",
+        "sierpinski",
+        "koch",
+        "quadratic_graph",
+        "mobius_arc",
+        "projective_line",
+    ],
+)
 def test_chaos_residual_is_hausdorff(name):
     ifs = systems.by_name(name)
     for seed in (1, 2):
@@ -218,20 +255,53 @@ def test_chaos_residual_is_hausdorff(name):
         assert orbit.meta["residual"] == exact
 
 
+def _orbit(ifs, digits):
+    out = [ifs.fixed_points()[0]]
+    for d in digits:
+        out.append(ifs.transform(int(d), out[-1][None, :])[0])
+    return np.array(out)
+
+
 def test_orbit_residual_queries_far_rows(sierpinski_ifs):
     # a row moved off the attractor lies farther from F(out) than any
     # image lies from out, and its twin bound fails: it must be queried
     rng = np.random.default_rng(3)
     digits = rng.integers(1, 4, size=999)
-    out = [sierpinski_ifs.fixed_points()[0]]
-    for d in digits:
-        out.append(sierpinski_ifs.transform(int(d), out[-1][None, :])[0])
-    out = np.array(out)
+    out = _orbit(sierpinski_ifs, digits)
     out[500] = (2.0, 2.0)
     imgs = _images(sierpinski_ifs, out)
     exact = hausdorff_distance(imgs, out)
     assert exact > cKDTree(out).query(imgs)[0].max()
-    assert fbe.ifs._orbit_residual(imgs, out, digits) == exact
+    assert fbe.ifs._orbit_residual(imgs, out, digits)[0] == exact
+
+
+def test_orbit_residual_queries_far_twin(sierpinski_ifs):
+    # a twin image moved left of the orbit holds the first direction's
+    # maximum alone, moved by 1.0 and by 1.5x the other rows' maximum h,
+    # which a twin bound of u <= 2h would skip; it is queried both ways
+    rng = np.random.default_rng(5)
+    digits = rng.integers(1, 4, size=999)
+    out = _orbit(sierpinski_ifs, digits)
+    n = len(out)
+    twins = (digits - 1) * n + np.arange(n - 1)
+    j = out[1:, 0].argmin()
+    assert out[j + 1, 0] == out[:, 0].min()
+    base = _images(sierpinski_ifs, out)
+    h = cKDTree(out).query(np.delete(base, twins, axis=0))[0].max()
+    for shift in (1.0, 1.5 * h):
+        imgs = base.copy()
+        imgs[twins[j], 0] -= shift
+        first = cKDTree(out).query(imgs)[0]
+        assert first.argmax() == twins[j] and np.delete(first, twins[j]).max() == h
+        residual, queried = fbe.ifs._orbit_residual(imgs, out, digits)
+        assert residual == hausdorff_distance(imgs, out) == first.max()
+        assert queried == [len(imgs) - len(twins) + 1, 2]
+
+
+def test_chaos_queried_counts(sierpinski_ifs):
+    # the twins of 4935 steps are skipped; the tree of F(out) answers out[0]
+    orbit = chaos_game(sierpinski_ifs, 5000, rng_seed=1)
+    assert orbit.meta["queried"] == [3 * 4936 - 4935, 1]
 
 
 def test_chaos_game_single_map():

@@ -124,6 +124,23 @@ def test_cache_bytes_and_round_trip(tmp_path, sierpinski_ifs):
     assert np.signbit(loaded.points[4093, 0])
 
 
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097])
+@pytest.mark.parametrize("name", ["cantor", "sierpinski", "mobius_arc", "quadratic_graph"])
+def test_cache_bytes_match_per_row_format(tmp_path, name, rows):
+    # 1-, 2-, 3- and 4-D clouds around the 4096-row write chunk
+    ifs = systems.by_name(name)
+    rng = np.random.Generator(np.random.PCG64(rows))
+    pts = rng.normal(size=(rows, ifs.dim)) * 10.0 ** rng.integers(-300, 300, (rows, 1))
+    pts.flat[-3:] = [-0.0, 5e-324, 1e300][-pts.size :]
+    path = tmp_path / "c.cloud"
+    io.cache_attractor(ifs, AttractorCloud(pts, 0.1), path)
+    text = f"FBE-CLOUD v1 {ifs.ifs_hash()} {0.1:.17g} {rows}\n"
+    text += "".join(" ".join("%.17g" % v for v in row) + "\n" for row in pts)
+    assert path.read_bytes() == text.encode()
+    loaded = io.load_cached(path, ifs)
+    assert loaded.points.tobytes() == pts.tobytes() and loaded.epsilon == 0.1
+
+
 def test_cache_header_format(tmp_path, cantor_ifs, cantor_cloud):
     path = tmp_path / "c.cloud"
     io.cache_attractor(cantor_ifs, cantor_cloud, path)
@@ -363,6 +380,21 @@ def test_cli_usage_error():
 
 def test_cli_unknown_system():
     assert main(["verify", "--ifs", "nope-such-system"]) == 2
+
+
+def test_cli_attractor_default_cell(tmp_path, monkeypatch, capsys):
+    # quadratic_graph's declared cell 1/32; at 1e-3 a step passes the cap
+    monkeypatch.delenv(io.CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    with _time_limit(10.0):
+        assert main(["attractor", "--ifs", "quadratic_graph"]) == 0
+    assert capsys.readouterr().out.startswith("attractor: 18649 points")
+    # the other built-ins, and a spec file named like a built-in, keep 1e-3
+    assert main(["attractor", "--ifs", "interval"]) == 0
+    assert capsys.readouterr().out.startswith("attractor: 1001 points")
+    io.save_spec(systems.interval(), tmp_path / "quadratic_graph")
+    assert main(["attractor", "--ifs", "quadratic_graph"]) == 0
+    assert capsys.readouterr().out.startswith("attractor: 1001 points")
 
 
 def test_cli_attractor_runaway_growth(tmp_path, capsys):
