@@ -52,7 +52,7 @@ def render_quadratic_graph(out_dir: Path, fast: bool):
     cloud = attractor(ifs, 0.05)
     lo = np.array([-1.6, -2.4])
     hi = np.array([1.6, 2.4])
-    g = _RasterGrid(lo, hi, grid, grid, tau=3 * cloud.epsilon)
+    g = _RasterGrid(lo, hi, grid, grid, tau=cloud.tau)
     g.mark(cloud.points[:, [0, 2]], 0)
     ras = g.finalize()
     path = out_dir / "quadratic_graph_attractor.pgm"
@@ -73,7 +73,7 @@ def render_triangle_continuations(out_dir: Path, fast: bool):
     region_hi = np.array([9.0, 9.0])
     for last in (1, 2, 3, 4):
         theta = prefix + (last,)
-        g = _RasterGrid(region_lo, region_hi, grid, grid, tau=3 * cloud.epsilon)
+        g = _RasterGrid(region_lo, region_hi, grid, grid, tau=cloud.tau)
         pulls = continuation_pullbacks(ifs, cloud, theta, len(theta))
         for k, pts in enumerate(pulls[1:], start=1):
             g.mark(_raster_coords(ifs, pts), k)

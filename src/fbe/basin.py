@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .addresses import Address
 from .errors import DomainError, ResolutionError
 from .ifs import AttractorCloud, IfsSystem, coding_map
+from .io import format_rows
 from .maps import from_sphere
 
 Word = tuple[int, ...]
@@ -102,15 +103,10 @@ class Raster:
         return header + gray.tobytes()
 
     def to_csv(self) -> str:
-        # np.nonzero is row-major: rows by iy, then ix. Chunks keep the
-        # Python ints of only a few thousand rows alive at a time.
+        # np.nonzero is row-major: rows by iy, then ix
         ys, xs = np.nonzero(self.hit)
-        d = self.depth[ys, xs]
-        parts = ["ix,iy,depth\n"]
-        for s in range(0, ys.shape[0], 4096):
-            rows = zip(*(a[s : s + 4096].tolist() for a in (xs, ys, d)))
-            parts.append("".join(f"{x},{y},{v}\n" for x, y, v in rows))
-        return "".join(parts)
+        rows = format_rows("%d,%d,%d\n", (xs, ys, self.depth[ys, xs]))
+        return "ix,iy,depth\n" + "".join(rows)
 
 
 def _normalize_region(region) -> tuple[np.ndarray, np.ndarray]:
@@ -201,6 +197,15 @@ class _RasterGrid:
         return Raster(lo=self.lo, hi=self.hi, nx=self.nx, ny=self.ny, depth=depth)
 
 
+def _tolerance(cloud: AttractorCloud, tol: float | None) -> float:
+    """tol, or the cloud tolerance tau when None; a tol below tau or not
+    finite is refused."""
+    tol = cloud.tau if tol is None else tol
+    if not cloud.tau <= tol < np.inf:
+        raise ResolutionError(f"tol {tol:.3g} is not finite or < tau {cloud.tau:.3g}")
+    return tol
+
+
 def _raster_grid(
     cloud: AttractorCloud, region, nx: int, ny: int, depth: int, tau: float | None
 ) -> _RasterGrid:
@@ -210,9 +215,7 @@ def _raster_grid(
     if nx < 1 or ny < 1:
         raise DomainError(f"grid sizes must be >= 1, got {nx} x {ny}")
     lo, hi = _normalize_region(region)
-    tau = cloud.tau if tau is None else tau
-    if not 0.0 <= tau < np.inf:
-        raise DomainError(f"tolerance must be a finite number >= 0, got {tau!r}")
+    tau = _tolerance(cloud, tau)
     grid = _RasterGrid(lo, hi, nx, ny, tau)
     if grid.widths.min() < tau:
         # level 3 is the caller of the builder
@@ -236,10 +239,10 @@ def fast_basin_raster(
     """Mark cells hit by f_w^{-1}(cloud) over all positive words |w| <= depth.
 
     A cell is hit when a transformed cloud point lies in the closed cell
-    inflated by tau; the recorded value is the minimal word length. Every
-    word of the tree is visited: no subtree can be skipped, because
-    f_w(A) is in A, so each pulled cloud f_w^{-1}(cloud) comes back to
-    the attractor.
+    inflated by tau (at least the cloud's tau); the recorded value is the
+    minimal word length. Every word of the tree is visited: no subtree can
+    be skipped, because f_w(A) is in A, so each pulled cloud
+    f_w^{-1}(cloud) comes back to the attractor.
     """
     grid = _raster_grid(cloud, region, nx, ny, depth, tau)
     stack = [(0, cloud.points)]
@@ -288,16 +291,6 @@ class MembershipResult:
         return self.status == "yes"
 
 
-def _tolerance(cloud: AttractorCloud, tol: float | None) -> float:
-    """tol, or the cloud tolerance tau when None; a tol below tau is refused."""
-    tol = cloud.tau if tol is None else tol
-    if not tol >= cloud.tau:
-        raise ResolutionError(
-            f"tol={tol:.3g} is below the cloud tolerance tau={cloud.tau:.3g}"
-        )
-    return tol
-
-
 def membership(
     ifs: IfsSystem,
     cloud: AttractorCloud,
@@ -324,7 +317,7 @@ def membership(
     words, ys, lip = [()], x[None, :], np.ones(1)
     for k in range(1, depth + 1):
         words = [(n,) + w for n in digits for w in words]
-        ys = np.concatenate([ifs.transform(n, ys) for n in digits])
+        ys = ifs.images(ys)
         lip = np.concatenate([lip * lip_n for lip_n in lips])
         # no cloud point can pull back within tol where f_w(x) is farther
         # than tol * Lip(f_w) from the cloud
@@ -385,17 +378,14 @@ def is_reversible_periodic(
 ) -> bool:
     """Sufficient-condition test for a periodic word: the coding-map image
     of the reversed periodic word must sit in the attractor's interior,
-    witnessed by a covered ball of radius `margin`.
+    witnessed by a covered ball of radius `margin`, at least the cloud's tau.
     """
     period = tuple(period)
     if not period:
         raise DomainError("period must be nonempty")
     if any(d <= 0 for d in period):
         raise DomainError("period must be a positive word")
-    if margin < 3.0 * cloud.epsilon:
-        raise ResolutionError(
-            f"margin {margin:.3g} below 3*epsilon={3 * cloud.epsilon:.3g}"
-        )
+    margin = _tolerance(cloud, margin)
     if ifs.is_sphere:
         raise DomainError("interior test implemented for affine spaces only")
     p = coding_map(ifs, Address((), tuple(reversed(period))))
@@ -412,13 +402,23 @@ def is_reversible_periodic(
 
 @dataclass
 class BasinInclusionReport:
-    n_samples: int
-    reached: int
-    results: list
+    samples: np.ndarray
+    results: list  # one MembershipResult per sample
     depth: int
     tol: float
     theta: str | None = None
-    failures: list = field(default_factory=list)
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.results)
+
+    @property
+    def reached(self) -> int:
+        return sum(r.reached for r in self.results)
+
+    @property
+    def failures(self) -> list:
+        return [x.tolist() for x, r in zip(self.samples, self.results) if not r.reached]
 
     @property
     def fraction(self) -> float:
@@ -440,30 +440,12 @@ def basin_inclusion_check(
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     tol = _tolerance(cloud, tol)
-    results = []
-    failures = []
-    reached = 0
-    pullbacks = (
-        continuation_pullbacks(ifs, cloud, theta, depth) if theta is not None else None
-    )
-    for x in samples:
-        if theta is not None:
-            res = membership_along(
-                ifs, cloud, x, theta, depth, tol, pullbacks=pullbacks
-            )
-        else:
-            res = membership(ifs, cloud, x, depth, tol)
-        results.append(res)
-        if res.reached:
-            reached += 1
-        else:
-            failures.append(x.tolist())
-    return BasinInclusionReport(
-        n_samples=len(samples),
-        reached=reached,
-        results=results,
-        depth=depth,
-        tol=tol,
-        theta=None if theta is None else str(theta),
-        failures=failures,
-    )
+    if theta is None:
+        results = [membership(ifs, cloud, x, depth, tol) for x in samples]
+        return BasinInclusionReport(samples, results, depth, tol)
+    pullbacks = continuation_pullbacks(ifs, cloud, theta, depth)
+    results = [
+        membership_along(ifs, cloud, x, theta, depth, tol, pullbacks=pullbacks)
+        for x in samples
+    ]
+    return BasinInclusionReport(samples, results, depth, tol, str(theta))

@@ -269,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     cells = "".join(f"; {k} {v:g}" for k, v in systems.CELLS.items())
     cell_help = f"grid cell (default {systems.DEFAULT_CELL:g}{cells})"
 
-    def add_common(p):
+    def add_common(p, cell_note=""):
         p.add_argument("--ifs", required=True, help="spec file or built-in name")
-        p.add_argument("--cell", type=float, help=cell_help)
+        p.add_argument("--cell", type=float, help=cell_help + cell_note)
 
     p = sub.add_parser("attractor", help="compute and cache an attractor cloud")
-    add_common(p)
+    add_common(p, "; refused with --chaos, whose cloud has no grid")
     p.add_argument("--chaos", type=int, default=0, help="use a chaos-game orbit of N points")
     p.add_argument("--burn-in", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -286,7 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", required=True, help="x0,x1 or x0,y0,x1,y1")
     p.add_argument("--grid", required=True, help="NX or NX,NY")
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument(
+        "--tol",
+        type=float,
+        help="inflate each pulled cloud point by TOL, finite and at least the "
+        "cloud tolerance tau = 3 epsilon (default tau)",
+    )
     p.add_argument("--out", help="PGM output path")
     p.add_argument("--csv", help="CSV output path")
     p.add_argument(
@@ -357,9 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if "cell" in vars(args) and args.cell is None:
-        args.cell = _default_cell(args.ifs)
     try:
+        if getattr(args, "chaos", 0) and args.cell is not None:
+            raise FbeError("--cell does not apply to a --chaos cloud")
+        if "cell" in vars(args) and args.cell is None:
+            args.cell = _default_cell(args.ifs)
         return args.fn(args)
     except (FbeError, OSError) as e:
         print(f"fbe: error: {e}", file=sys.stderr)

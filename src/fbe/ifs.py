@@ -86,6 +86,11 @@ class IfsSystem:
         self.check_digit(digit)
         return self.map_for(digit)(pts)
 
+    def images(self, pts: np.ndarray) -> np.ndarray:
+        """F(X): the images of the points under maps 1..N, map after map."""
+        digits = range(1, self.n_maps + 1)
+        return np.concatenate([self.transform(i, pts) for i in digits])
+
     def apply_word(self, word: Word, pts: np.ndarray) -> np.ndarray:
         """f_{w_1} o ... o f_{w_k} applied to points (w_k acts first)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -98,21 +103,12 @@ class IfsSystem:
 
     # -- Lipschitz bounds -----------------------------------------------------
 
-    def map_lipschitz(self, digit: int, region: np.ndarray | None = None) -> float:
-        """Lipschitz bound for one (possibly inverse) map.
-
-        Without a region the bound is exact: the largest singular value of
-        an affine matrix, sigma_max^2 of a det-1 Moebius matrix (the
-        supremum of its chordal derivative over the whole sphere). With a
-        region of sphere points, a Moebius bound is the largest chordal
-        derivative at those points, a sampled estimate.
-        """
+    def map_lipschitz(self, digit: int) -> float:
+        """Exact Lipschitz bound for one (possibly inverse) map: the largest
+        singular value of an affine matrix, sigma_max^2 of a det-1 Moebius
+        matrix (the supremum of its chordal derivative over the sphere)."""
         self.check_digit(digit)
-        m = self.map_for(digit)
-        if region is None or isinstance(m, AffineMap):
-            return m.lipschitz()
-        z = from_sphere(np.atleast_2d(region))
-        return float(m.chordal_derivative(z).max())
+        return self.map_for(digit).lipschitz()
 
     def word_lipschitz(self, word: Word) -> float:
         out = 1.0
@@ -120,9 +116,9 @@ class IfsSystem:
             out *= self.map_lipschitz(d)
         return out
 
-    def lam(self, region: np.ndarray | None = None) -> float:
+    def lam(self) -> float:
         """Contraction factor: the largest map bound."""
-        return max(self.map_lipschitz(i, region) for i in range(1, self.n_maps + 1))
+        return max(self.map_lipschitz(i) for i in range(1, self.n_maps + 1))
 
     # -- base points in the basin ----------------------------------------------
 
@@ -222,9 +218,13 @@ def _resolved_cloud(
 ) -> AttractorCloud:
     """The cloud with resolution err/(1-lam), or 4*err if not contractive.
 
-    Moebius lam is sampled at the cloud points.
+    Moebius lam is sampled: the largest chordal derivative at the points.
     """
-    lam = ifs.lam(pts if ifs.is_sphere else None)
+    if ifs.is_sphere:
+        z = from_sphere(pts)
+        lam = max(float(m.chordal_derivative(z).max()) for m in ifs.maps)
+    else:
+        lam = ifs.lam()
     contractive = lam < 1.0
     eps = err / (1.0 - lam) if contractive else 4.0 * err
     tail = {"lam": lam, "contractive": contractive}
@@ -246,10 +246,7 @@ def _snapped_step(ifs: IfsSystem, pts: np.ndarray, cell: float) -> np.ndarray:
         raise ResolutionError(
             f"a step would make {rows} points, cap {MAX_IMAGE_POINTS}, cell {cell:g}"
         )
-    return grid_dedup(
-        np.concatenate([ifs.transform(i, pts) for i in range(1, ifs.n_maps + 1)]),
-        cell,
-    )
+    return grid_dedup(ifs.images(pts), cell)
 
 
 def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
@@ -351,18 +348,19 @@ def chaos_game(
     rng_seed: int = 0,
 ) -> AttractorCloud:
     """Random-orbit cloud; deterministic for a given seed (PCG64)."""
-    if n <= burn_in:
-        raise DomainError("n must exceed burn_in")
+    if not 0 <= burn_in < n:
+        raise DomainError(f"need 0 <= burn_in < n, got burn_in={burn_in}, n={n}")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     digits = rng.integers(1, ifs.n_maps + 1, size=n)
     x = ifs.fixed_points()[0]
     if ifs.is_sphere:
-        out = np.empty((n - burn_in, ifs.dim))
+        # the orbit stays in the plane; one to_sphere call embeds it
+        zs = np.empty(n, dtype=complex)
         z = from_sphere(x[None, :])
         for k, d in enumerate(digits):
             z = ifs.maps[d - 1].apply_complex(z)
-            if k >= burn_in:
-                out[k - burn_in] = to_sphere(z)[0]
+            zs[k] = z[0]
+        out = to_sphere(zs[burn_in:])
     else:
         # the same matmul and add per step as A @ x + b, with no temporaries
         mats = [m.matrix for m in ifs.maps]
@@ -372,11 +370,7 @@ def chaos_game(
             np.matmul(mats[d - 1], x, out=buf)
             x = np.add(buf, offs[d - 1], out=orbit[k])
         out = orbit[burn_in:]
-    residual, queried = _orbit_residual(
-        np.concatenate([ifs.transform(i, out) for i in range(1, ifs.n_maps + 1)]),
-        out,
-        digits[burn_in + 1 :],
-    )
+    residual, queried = _orbit_residual(ifs.images(out), out, digits[burn_in + 1 :])
     meta = {
         "method": "chaos",
         "n": n,
@@ -444,37 +438,27 @@ def random_address(
     max_period: int = 3,
     tail: str = "positive",
 ) -> Address:
-    """Random valid eventually-periodic address (no adjacent cancellations)."""
-    if tail == "positive":
-        tail_alphabet = list(range(1, n_maps + 1))
-    elif tail == "negative":
-        tail_alphabet = list(range(-n_maps, 0))
-    else:
-        tail_alphabet = [d for d in range(-n_maps, n_maps + 1) if d != 0]
-    full = [d for d in range(-n_maps, n_maps + 1) if d != 0]
+    """Random valid eventually-periodic address (no adjacent cancellations).
 
-    while True:
-        plen = int(rng.integers(1, max_period + 1))
-        period: list[int] = []
-        ok = True
-        for i in range(plen):
-            allowed = [d for d in tail_alphabet if not period or d != -period[-1]]
-            if i == plen - 1:
-                allowed = [d for d in allowed if d != -period[0]] if period else allowed
-            if not allowed:
-                ok = False
-                break
-            period.append(int(rng.choice(allowed)))
-        if not ok:
-            continue
-        klen = int(rng.integers(0, max_pre + 1))
-        pre: list[int] = []
-        nxt = period[0]
-        for _ in range(klen):
-            allowed = [d for d in full if d != -nxt]
-            pre.insert(0, int(rng.choice(allowed)))
-            nxt = pre[0]
-        return Address(tuple(pre), tuple(period))
+    The period takes positive digits with tail="positive" and any digit
+    otherwise. A period digit avoids at most -period[-1] and -period[0],
+    which are equal when N = 1, so some digit is always allowed.
+    """
+    full = [d for d in range(-n_maps, n_maps + 1) if d != 0]
+    tail_alphabet = list(range(1, n_maps + 1)) if tail == "positive" else full
+    plen = int(rng.integers(1, max_period + 1))
+    period: list[int] = []
+    for i in range(plen):
+        # no cancellation with the digit before, nor across the wrap
+        banned = {-d for d in period[-1:]}
+        if i == plen - 1:
+            banned |= {-d for d in period[:1]}
+        period.append(int(rng.choice([d for d in tail_alphabet if d not in banned])))
+    pre: list[int] = []
+    for _ in range(int(rng.integers(0, max_pre + 1))):
+        nxt = pre[0] if pre else period[0]
+        pre.insert(0, int(rng.choice([d for d in full if d != -nxt])))
+    return Address(tuple(pre), tuple(period))
 
 
 def verify_semiconjugacy(

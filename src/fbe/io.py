@@ -97,18 +97,22 @@ def save_spec(ifs: IfsSystem, path) -> None:
 # -- attractor caches ------------------------------------------------------------
 
 
+def format_rows(row: str, columns):
+    """Yield `row % values` for the rows of the equal-length columns, 4096
+    rows per chunk: each chunk is stacked alone and formatted in one call."""
+    for s in range(0, len(columns[0]), 4096):
+        chunk = np.column_stack([c[s : s + 4096] for c in columns])
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
 def cache_attractor(ifs: IfsSystem, cloud: AttractorCloud, path) -> None:
-    """Write the header line, then the rows 4096 at a time, each chunk
-    with one format call."""
+    """Write the header line, then the rows: 17 significant digits each."""
     pts = cloud.points
-    row = " ".join(["%.17g"] * pts.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(
             f"FBE-CLOUD v1 {ifs.ifs_hash()} {cloud.epsilon:.17g} {pts.shape[0]}\n"
         )
-        for s in range(0, pts.shape[0], 4096):
-            chunk = pts[s : s + 4096]
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        fh.writelines(format_rows(" ".join(["%.17g"] * pts.shape[1]) + "\n", pts.T))
 
 
 def load_cached(path, ifs: IfsSystem | None = None) -> AttractorCloud:

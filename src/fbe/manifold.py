@@ -43,6 +43,19 @@ def _leaf_index(
     return entries[key]
 
 
+def _on_cloud(cloud: AttractorCloud, v: np.ndarray, what: str) -> bool:
+    """Whether v lies within tau of the cloud. A distance in the
+    (tau, 2*tau] annulus is refused as ambiguous rather than guessed, since
+    the class genuinely changes across the attractor boundary."""
+    d = cloud.dist_point(v)
+    if cloud.tau < d <= 2 * cloud.tau:
+        raise AmbiguousMembershipError(
+            f"{what} at distance {d:.3g} from the cloud (tau={cloud.tau:.3g}): "
+            "membership is ambiguous at this resolution"
+        )
+    return d <= cloud.tau
+
+
 @dataclass(eq=False)
 class ManifoldPoint:
     theta: Word
@@ -83,9 +96,7 @@ def canonicalize(
 ) -> ManifoldPoint:
     """Split an address into integer part and fractional projection.
 
-    Scans for the least k with pi(S^k(addr)) on the cloud; distances in
-    the (tau, 2*tau] annulus are refused as ambiguous rather than guessed,
-    since the class genuinely changes across the attractor boundary.
+    Scans for the least k with pi(S^k(addr)) on the cloud (_on_cloud).
     """
     cls = validate(addr, ifs.n_maps)
     if not addr.is_infinite or not cls.in_Ihat:
@@ -93,19 +104,12 @@ def canonicalize(
     neg_count = 0
     while addr.digit(neg_count + 1) < 0:
         neg_count += 1
-    tau = cloud.tau
     for k in range(neg_count + 1):
         val = coding_map(ifs, addr.shifted(k))
-        d = cloud.dist_point(val)
-        if d <= tau:
+        if _on_cloud(cloud, val, f"pi(S^{k}({addr}))"):
             theta = addr.prefix(k)
             return ManifoldPoint(
                 theta=theta, x=val, proj=ifs.apply_word_point(theta, val)
-            )
-        if d <= 2 * tau:
-            raise AmbiguousMembershipError(
-                f"pi(S^{k}({addr})) at distance {d:.3g} from the cloud "
-                f"(tau={tau:.3g}): membership is ambiguous at this resolution"
             )
     raise AmbiguousMembershipError(
         f"no suffix of {addr} landed on the cloud within tau"
@@ -174,16 +178,10 @@ def sigma_tilde(
     integer part is empty. Other positive shifts leave the manifold.
     """
     ifs.check_digit(n)
-    tau = cloud.tau
     if n < 0:
         new_proj = ifs.transform(n, a.proj[None, :])[0]
-        d = cloud.dist_point(new_proj)
-        if d <= tau:
+        if _on_cloud(cloud, new_proj, f"f_{n}(proj)"):
             return ManifoldPoint(theta=(), x=new_proj, proj=new_proj)
-        if d <= 2 * tau:
-            raise AmbiguousMembershipError(
-                f"f_{n}(proj) at distance {d:.3g} from the cloud: ambiguous"
-            )
         return ManifoldPoint(theta=(n,) + a.theta, x=a.x, proj=new_proj)
     if not a.theta:
         new_x = ifs.transform(n, a.x[None, :])[0]
@@ -255,13 +253,9 @@ def _gluing_points(
     """
     tau = cloud.tau
     outside = _leaf_index(ifs, cloud, i)[1]
-    far = cloud.points[outside]
-    if far.shape[0] == 0:
-        return []
     inside = cloud.points[~outside]
-    if inside.shape[0] == 0:
-        return []
-    d_far = cKDTree(far).query(inside)[0]
+    # an empty tree answers inf: an empty side leaves no candidate
+    d_far = cKDTree(cloud.points[outside]).query(inside)[0]
     cand = inside[d_far <= 2 * tau]
     if cand.shape[0] == 0:
         return []
@@ -307,28 +301,24 @@ def branch_points(
             closure_clouds[phi] = cloud.points
             continue
         i = -phi[-1]
-        base = cloud.points[_leaf_index(ifs, cloud, i)[1]]
-        extras = glue[i]
-        if extras:
-            base = np.vstack([base] + [g[None, :] for g in extras])
+        base = np.vstack([cloud.points[_leaf_index(ifs, cloud, i)[1]], *glue[i]])
         closure_clouds[phi] = ifs.apply_word(phi, base)
     closure_trees = {phi: cKDTree(pts) for phi, pts in closure_clouds.items()}
 
     found: list[tuple[np.ndarray, Word, np.ndarray, int]] = []
     for j in range(1, ifs.n_maps + 1):
         for g in glue[j]:
+            # the unwinding f_j^-m(g), m = 0..depth, one map at a time
+            unwound = [np.asarray(g, dtype=float)]
+            for _ in range(depth):
+                unwound.append(ifs.transform(-j, unwound[-1][None, :])[0])
+            on_cloud = [cloud.dist_point(u) <= cloud.tau for u in unwound]
             for k in range(1, depth + 1):
-                theta = ((-j),) * k
-                b = ifs.apply_word_point(theta, g)
-                # canonical class of the gluing point: trim theta while the
-                # partial unwinding still sits on the cloud
-                kk = 0
-                while kk <= k:
-                    x = ifs.apply_word_point(theta[kk:], g)
-                    if cloud.dist_point(x) <= cloud.tau:
-                        break
-                    kk += 1
-                cls_theta = theta[:kk]
+                b = unwound[k]
+                # canonical class of the gluing point: trim (-j)^k to the
+                # largest m <= k whose unwinding sits on the cloud
+                m = max((i for i in range(k + 1) if on_cloud[i]), default=0)
+                cls_theta, x = ((-j),) * (k - m), unwound[m]
                 incidence = sum(
                     1
                     for phi in leaves

@@ -107,10 +107,7 @@ def run_verify(
     eps, tau = cloud.epsilon, cloud.tau
 
     def invariance():
-        imgs = np.concatenate(
-            [ifs.transform(i, cloud.points) for i in range(1, ifs.n_maps + 1)]
-        )
-        return hausdorff_distance(imgs, cloud.points)
+        return hausdorff_distance(ifs.images(cloud.points), cloud.points)
 
     _timed(report, "attractor-invariance", "set-invariance", 2 * eps, invariance)
 

@@ -229,6 +229,14 @@ def test_raster_resolution_warning(cantor_ifs, cantor_cloud):
         assert record[0].filename == __file__
 
 
+def test_raster_tau_below_floor(interval_ifs, interval_cloud):
+    # a raster's inflation has the floor of membership's tol
+    for builder in (fast_basin_raster, raster_from_continuations):
+        for tau in (0.0, interval_cloud.tau / 2, np.inf, np.nan):
+            with pytest.raises(ResolutionError):
+                builder(interval_ifs, interval_cloud, (-3.0, 4.0), 64, 1, tau=tau)
+
+
 def test_raster_pgm_and_csv(cantor_ifs, cantor_cloud):
     ras = fast_basin_raster(cantor_ifs, cantor_cloud, (-3.0, 3.0), 64, 1, depth=1)
     pgm = ras.to_pgm()
@@ -314,8 +322,10 @@ def test_membership_shortest_lex_witness(interval_ifs, interval_cloud):
 
 
 def test_membership_tol_below_tau(cantor_ifs, cantor_cloud):
-    with pytest.raises(ResolutionError):
-        membership(cantor_ifs, cantor_cloud, [0.5], depth=2, tol=cantor_cloud.tau / 10)
+    # tol=inf would answer "yes" for any point
+    for tol in (cantor_cloud.tau / 10, np.inf, np.nan):
+        with pytest.raises(ResolutionError):
+            membership(cantor_ifs, cantor_cloud, [0.5], depth=2, tol=tol)
 
 
 def test_membership_along_tol_below_tau(interval_ifs, interval_cloud):
@@ -369,10 +379,9 @@ def test_reversible_periodic_cantor(cantor_ifs, cantor_cloud):
 
 
 def test_reversible_margin_error(interval_ifs, interval_cloud):
-    with pytest.raises(ResolutionError):
-        is_reversible_periodic(
-            interval_ifs, interval_cloud, (1, 2), interval_cloud.epsilon
-        )
+    for margin in (interval_cloud.epsilon, np.nan, np.inf):
+        with pytest.raises(ResolutionError):
+            is_reversible_periodic(interval_ifs, interval_cloud, (1, 2), margin)
 
 
 # -- basin inclusion ----------------------------------------------------------------

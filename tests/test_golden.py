@@ -1,0 +1,66 @@
+"""Golden bytes: small CLI artifacts pinned by sha256.
+
+A change that claims byte-identical artifacts must leave these hashes as
+they are. They were recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64;
+another numpy or BLAS may round a last bit differently, and a mismatch
+there is a platform difference to confirm, not by itself a defect.
+"""
+
+import hashlib
+import warnings
+
+import pytest
+
+from fbe.cli import main
+
+GOLDEN = {
+    "interval.cloud": (
+        ["attractor", "--ifs", "interval", "--cell", "0.00390625"],
+        "983059ec7ae7291aa14bae9ffe8292aae987040da80a9937485e29bffbf18994",
+    ),
+    "sierpinski.cloud": (
+        ["attractor", "--ifs", "sierpinski", "--cell", "0.015625"],
+        "304ab288a22082a75213c6285013db9660725baa67abda2db217f08246803199",
+    ),
+    "projective_line.cloud": (
+        ["attractor", "--ifs", "projective_line", "--cell", "0.015625"],
+        "80b4809f00689ebca342e3e395581b5ab7080f48bf1116045a570d1079b8c7a6",
+    ),
+    "chaos-sierpinski.cloud": (
+        ["attractor", "--ifs", "sierpinski", "--chaos", "2000", "--seed", "1"],
+        "9e8d38081d7402214dac01d7a8c527cbb2dc3b6580799891173317fc0a257e14",
+    ),
+    "chaos-mobius_arc.cloud": (
+        ["attractor", "--ifs", "mobius_arc", "--chaos", "2000", "--seed", "1"],
+        "44c3936a7797f65fec18dd2d81e61f5db84d4e21c4b1efff412a80b69e914196",
+    ),
+}
+RASTER = [
+    "fastbasin", "--ifs", "sierpinski", "--cell", "0.0078125",
+    "--region", "-3,-3,4,4", "--grid", "128,128", "--depth", "3",
+]  # fmt: skip
+RASTER_PGM = "c1e6b2607587a33b2f2dc59c9774b8fd0312316838587544b4a10659e7f880bf"
+RASTER_CSV = "e48df69bec0c9cf31f39dce707852942a2e03b2ae2b6d6cd1a0186e38079448e"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_cloud(tmp_path, capsys, name):
+    argv, digest = GOLDEN[name]
+    _run(argv + ["--out", str(tmp_path / name)])
+    assert _sha256(tmp_path / name) == digest
+
+
+def test_golden_raster(tmp_path, capsys):
+    pgm, csv = tmp_path / "basin.pgm", tmp_path / "basin.csv"
+    _run(RASTER + ["--out", str(pgm), "--csv", str(csv)])
+    assert (_sha256(pgm), _sha256(csv)) == (RASTER_PGM, RASTER_CSV)

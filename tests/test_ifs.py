@@ -18,7 +18,7 @@ from fbe.ifs import (
     random_address,
     verify_semiconjugacy,
 )
-from fbe.maps import AffineMap, MoebiusMap, from_sphere
+from fbe.maps import AffineMap, MoebiusMap, from_sphere, to_sphere
 
 from conftest import _time_limit
 from oracles import cantor_level_points, orbit_limit
@@ -227,6 +227,20 @@ def test_chaos_orbit_matches_reference_loop(name):
     for d in digits:
         x = ifs.maps[d - 1].matrix @ x + ifs.maps[d - 1].offset
         ref.append(x)
+    orbit = chaos_game(ifs, 3000, rng_seed=2)
+    assert orbit.points.tobytes() == np.array(ref[64:]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["mobius_arc", "projective_line", "schottky"])
+def test_chaos_sphere_orbit_matches_reference_loop(name):
+    # the orbit is the plane sequence z <- f(z), each point embedded on its
+    # own, bit for bit
+    ifs = systems.by_name(name)
+    digits = np.random.Generator(np.random.PCG64(2)).integers(1, ifs.n_maps + 1, 3000)
+    z, ref = from_sphere(ifs.fixed_points()[0]), []
+    for d in digits:
+        z = ifs.maps[d - 1].apply_complex(z)
+        ref.append(to_sphere(z)[0])
     orbit = chaos_game(ifs, 3000, rng_seed=2)
     assert orbit.points.tobytes() == np.array(ref[64:]).tobytes()
 

@@ -479,12 +479,14 @@ def test_cli_unreadable_spec(tmp_path, capsys):
         ["fastbasin", "--region", "-3,3", "--grid", "x"],
         ["fastbasin", "--region", "-3,3", "--grid", "0"],
         ["fastbasin", "--region", "-3,3", "--grid", "8", "--tol", "nan"],
+        ["fastbasin", "--region", "-3,3", "--grid", "8", "--tol", "1e-9"],
         ["manifold", "dist", "--a", "-1:abc", "--b", "-1:0.75"],
         ["manifold", "dist", "--a", "-1:0.75,0.2", "--b", "-1:0.75"],
         ["attractor", "--cell", "nan"],
         ["attractor", "--cell", "0"],
         ["attractor", "--cell", "-1"],
         ["attractor", "--cell", "inf"],
+        ["attractor", "--chaos", "2000"],  # --cell does not apply
     ],
     ids=" ".join,
 )
@@ -503,6 +505,7 @@ def test_cli_malformed_value(capsys, argv):
         ["continuation", "--ifs", "interval", "--theta", "(1)*", "--k", "-1"],
         ["manifold", "branch", "--ifs", "interval", "--depth", "-1"],
         ["manifold", "leaves", "--ifs", "interval", "--depth", "-1"],
+        ["attractor", "--ifs", "cantor", "--chaos", "1000", "--burn-in", "-1"],
     ],
     ids=" ".join,
 )
