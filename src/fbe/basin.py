@@ -149,7 +149,8 @@ class _RasterGrid:
         self.tau = tau
         self.rdim = lo.shape[0]
         self.widths = (hi - lo) / np.array([nx, ny][: self.rdim])
-        self.depth = np.full((ny, nx), np.iinfo(np.int32).max, dtype=np.int32)
+        # per word length, the (+, -) corner lists of the queued rectangles
+        self.corners: dict[int, tuple[list, list]] = {}
 
     def _axis_ranges(self, vals, axis, n):
         """Clipped cell index ranges [lo, hi] and the mask of nonempty ones."""
@@ -160,12 +161,9 @@ class _RasterGrid:
         return np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1), ok
 
     def mark(self, pts: np.ndarray, word_len: int):
-        """Lower the depth of every cell some point's tau-box touches to word_len.
-
-        Each box is a rectangle of cells; its corners go into a difference
-        array over the bounding box of all rectangles, whose two prefix
-        sums give the number of rectangles covering each cell.
-        """
+        """Queue the rectangle of cells that each point's tau-box touches
+        under word_len: its four signed corners, as flat int32 indices into
+        a (ny+1) x (nx+1) difference array."""
         if pts.size == 0:
             return
         ix_lo, ix_hi, keep = self._axis_ranges(pts[:, 0], 0, self.nx)
@@ -176,25 +174,32 @@ class _RasterGrid:
             iy_lo = iy_hi = np.zeros(ix_lo.shape, dtype=np.int64)
         if not keep.any():
             return
-        ix_lo, ix_hi = ix_lo[keep], ix_hi[keep]
-        iy_lo, iy_hi = iy_lo[keep], iy_hi[keep]
-        x0, y0 = int(ix_lo.min()), int(iy_lo.min())
-        w = int(ix_hi.max()) - x0 + 2
-        h = int(iy_hi.max()) - y0 + 2
-        r0, r1 = (iy_lo - y0) * w, (iy_hi - y0 + 1) * w
-        c0, c1 = ix_lo - x0, ix_hi - x0 + 1
-        corners = np.concatenate([r0 + c0, r1 + c1, r0 + c1, r1 + c0])
-        signs = np.repeat([1.0, 1.0, -1.0, -1.0], ix_lo.shape[0])
-        cover = np.bincount(corners, weights=signs, minlength=h * w).reshape(h, w)
-        np.cumsum(cover, axis=0, out=cover)
-        np.cumsum(cover, axis=1, out=cover)
-        sub = self.depth[y0 : y0 + h - 1, x0 : x0 + w - 1]
-        np.minimum(sub, word_len, out=sub, where=cover[:-1, :-1] > 0)
+        w = self.nx + 1
+        r0, r1 = iy_lo[keep] * w, (iy_hi[keep] + 1) * w
+        c0, c1 = ix_lo[keep], ix_hi[keep] + 1
+        pos, neg = self.corners.setdefault(word_len, ([], []))
+        pos.append(np.concatenate([r0 + c0, r1 + c1]).astype(np.int32))
+        neg.append(np.concatenate([r0 + c1, r1 + c0]).astype(np.int32))
 
     def finalize(self) -> Raster:
-        depth = self.depth.copy()
-        depth[depth == np.iinfo(np.int32).max] = -1
-        return Raster(lo=self.lo, hi=self.hi, nx=self.nx, ny=self.ny, depth=depth)
+        """The raster of the least word length covering each cell.
+
+        Word lengths go in ascending order; the rectangles of one length
+        are summed at once (one bincount per corner sign, two prefix sums),
+        and a covered cell still unmarked takes that length.
+        """
+        ny, nx = self.ny, self.nx
+        size = (ny + 1) * (nx + 1)
+        depth = np.full((ny, nx), -1, dtype=np.int32)
+        for word_len in sorted(self.corners):
+            pos, neg = self.corners[word_len]
+            cover = np.bincount(np.concatenate(pos), minlength=size)
+            cover -= np.bincount(np.concatenate(neg), minlength=size)
+            cover = cover.reshape(ny + 1, nx + 1)
+            np.cumsum(cover, axis=0, out=cover)
+            np.cumsum(cover, axis=1, out=cover)
+            depth[(cover[:-1, :-1] > 0) & (depth < 0)] = word_len
+        return Raster(lo=self.lo, hi=self.hi, nx=nx, ny=ny, depth=depth)
 
 
 def _tolerance(cloud: AttractorCloud, tol: float | None) -> float:
@@ -214,6 +219,9 @@ def _raster_grid(
         raise DomainError("depth must be >= 0")
     if nx < 1 or ny < 1:
         raise DomainError(f"grid sizes must be >= 1, got {nx} x {ny}")
+    if (nx + 1) * (ny + 1) > np.iinfo(np.int32).max:
+        # the corner indices of _RasterGrid.mark are int32
+        raise DomainError(f"grid {nx} x {ny} is too large for int32 cell indices")
     lo, hi = _normalize_region(region)
     tau = _tolerance(cloud, tau)
     grid = _RasterGrid(lo, hi, nx, ny, tau)

@@ -92,9 +92,15 @@ def _parse_manifold_point(ifs, cloud, text: str):
 
 
 def _cmd_attractor(args) -> int:
+    # chaos_game's own defaults stand in for the orbit flags not given
+    orbit = {
+        k: v for k, v in (("burn_in", args.burn_in), ("rng_seed", args.seed)) if v is not None
+    }
+    if orbit and not args.chaos:
+        raise FbeError("--burn-in and --seed apply only to a --chaos cloud")
     ifs = _resolve_ifs(args.ifs)
     if args.chaos:
-        cloud = chaos_game(ifs, args.chaos, args.burn_in, args.seed)
+        cloud = chaos_game(ifs, args.chaos, **orbit)
     else:
         cloud = _get_cloud(ifs, args.cell)
     if args.out:
@@ -276,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attractor", help="compute and cache an attractor cloud")
     add_common(p, "; refused with --chaos, whose cloud has no grid")
     p.add_argument("--chaos", type=int, default=0, help="use a chaos-game orbit of N points")
-    p.add_argument("--burn-in", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--burn-in", type=int, help="orbit steps dropped first (--chaos only)")
+    p.add_argument("--seed", type=int, help="orbit seed (--chaos only)")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_attractor)
 

@@ -60,6 +60,8 @@ class IfsSystem:
                 raise ValueError(f"map {i + 1} has dimension {m.dim}, expected {dim}")
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "_inverses", tuple(m.inverse() for m in maps))
+        blob = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(self, "_hash", hashlib.sha256(blob.encode()).hexdigest()[:16])
 
     @property
     def n_maps(self) -> int:
@@ -137,8 +139,7 @@ class IfsSystem:
         }
 
     def ifs_hash(self) -> str:
-        blob = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return self._hash
 
 
 # -- attractor clouds ----------------------------------------------------------

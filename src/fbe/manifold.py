@@ -39,7 +39,10 @@ def _leaf_index(
     key = (ifs.ifs_hash(), i)
     if key not in entries:
         tree = cKDTree(ifs.transform(i, cloud.points))
-        entries[key] = (tree, tree.query(cloud.points)[0] > cloud.tau)
+        # bounded at 2 tau: a distance in (tau, 2 tau] reads as itself or
+        # as inf, and either is > tau
+        d = tree.query(cloud.points, distance_upper_bound=2 * cloud.tau)[0]
+        entries[key] = (tree, d > cloud.tau)
     return entries[key]
 
 
@@ -254,8 +257,9 @@ def _gluing_points(
     tau = cloud.tau
     outside = _leaf_index(ifs, cloud, i)[1]
     inside = cloud.points[~outside]
-    # an empty tree answers inf: an empty side leaves no candidate
-    d_far = cKDTree(cloud.points[outside]).query(inside)[0]
+    # bounded at 4 tau, clear of the 2 tau cut; a distance past the bound
+    # and an empty tree both answer inf, which leaves no candidate
+    d_far = cKDTree(cloud.points[outside]).query(inside, distance_upper_bound=4 * tau)[0]
     cand = inside[d_far <= 2 * tau]
     if cand.shape[0] == 0:
         return []

@@ -214,11 +214,12 @@ def _marking_case(draw):
 def test_raster_marking_matches_scatter(case):
     lo, hi, nx, ny, tau, marks = case
     grid = _RasterGrid(lo, hi, nx, ny, tau)
-    ref = grid.depth.copy()
+    miss = np.iinfo(np.int32).max
+    ref = np.full((ny, nx), miss, dtype=np.int32)
     for pts, word_len in marks:
         grid.mark(pts, word_len)
         _scatter_mark(ref, lo, hi, nx, ny, tau, pts, word_len)
-        assert np.array_equal(grid.depth, ref)
+        assert np.array_equal(grid.finalize().depth, np.where(ref == miss, -1, ref))
 
 
 def test_raster_resolution_warning(cantor_ifs, cantor_cloud):

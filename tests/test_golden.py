@@ -41,6 +41,38 @@ RASTER = [
 ]  # fmt: skip
 RASTER_PGM = "c1e6b2607587a33b2f2dc59c9774b8fd0312316838587544b4a10659e7f880bf"
 RASTER_CSV = "e48df69bec0c9cf31f39dce707852942a2e03b2ae2b6d6cd1a0186e38079448e"
+# Rasters whose cells take several word lengths, so the least length per
+# cell over the union of a level's words shows in the bytes: (argv, PGM, CSV)
+LEVEL_RASTERS = {
+    "koch-depth-4": (
+        [
+            "fastbasin", "--ifs", "koch", "--cell", "0.0078125",
+            "--region", "-3,-2,3,2", "--grid", "96,64", "--depth", "4",
+        ],
+        "d4a0dd6eac9cdfcbf7050f992e47514060e049e2fcbbf7545c9abb121cf1fbac",
+        "5d866706421c13b47281d3a5cec579f50ff783f9f6c8873d2603208b42472ef1",
+    ),
+    "interval-depth-6": (
+        [
+            "fastbasin", "--ifs", "interval", "--cell", "0.00390625",
+            "--region", "-70,70", "--grid", "280", "--depth", "6",
+        ],
+        "8964fbe3a5c224fff6a8a479ae201726df204c50f74e3eca11958fa3bad38fd7",
+        "cfedbde8536d93c31c230169f5e7917e4e5f0b43e79ef6efaf49d232355c1784",
+    ),
+    "mobius_arc-sphere": (
+        [
+            "fastbasin", "--ifs", "mobius_arc", "--cell", "0.0078125",
+            "--region", "-2.5,-2.5,2.5,2.5", "--grid", "48,48", "--depth", "4",
+        ],
+        "def44dc882a4073e3b1a14206f037cf10cf76c0803a425f9f31fc706dbcbb43a",
+        "9a1d8a50c7c811985c7c4da988d5775ee6da13383744977f9bec275f82f1ed9e",
+    ),
+    # the continuation route draws the word-tree raster's bytes
+    "sierpinski-via-continuations": (
+        RASTER + ["--via-continuations"], RASTER_PGM, RASTER_CSV
+    ),
+}  # fmt: skip
 
 
 def _sha256(path) -> str:
@@ -64,3 +96,11 @@ def test_golden_raster(tmp_path, capsys):
     pgm, csv = tmp_path / "basin.pgm", tmp_path / "basin.csv"
     _run(RASTER + ["--out", str(pgm), "--csv", str(csv)])
     assert (_sha256(pgm), _sha256(csv)) == (RASTER_PGM, RASTER_CSV)
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_RASTERS))
+def test_golden_level_raster(tmp_path, capsys, name):
+    argv, pgm_digest, csv_digest = LEVEL_RASTERS[name]
+    pgm, csv = tmp_path / "basin.pgm", tmp_path / "basin.csv"
+    _run(argv + ["--out", str(pgm), "--csv", str(csv)])
+    assert (_sha256(pgm), _sha256(csv)) == (pgm_digest, csv_digest)

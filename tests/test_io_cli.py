@@ -10,7 +10,7 @@ import pytest
 from fbe import io, systems
 from fbe.cli import main
 from fbe.errors import NonInvertibleMapError, SpecFormatError, StaleCacheError
-from fbe.ifs import AttractorCloud, attractor
+from fbe.ifs import AttractorCloud, attractor, chaos_game
 
 from conftest import _time_limit
 
@@ -487,6 +487,9 @@ def test_cli_unreadable_spec(tmp_path, capsys):
         ["attractor", "--cell", "-1"],
         ["attractor", "--cell", "inf"],
         ["attractor", "--chaos", "2000"],  # --cell does not apply
+        ["attractor", "--burn-in", "5"],  # orbit flags need --chaos
+        ["attractor", "--seed", "3"],
+        ["fastbasin", "--region", "-3,3", "--grid", "50000,50000"],  # > 2^31 cells
     ],
     ids=" ".join,
 )
@@ -531,3 +534,12 @@ def test_cli_chaos_seeded(capsys):
     first = capsys.readouterr().out
     main(["attractor", "--ifs", "cantor", "--chaos", "2000", "--seed", "9"])
     assert capsys.readouterr().out == first
+
+
+def test_cli_chaos_defaults(tmp_path, capsys):
+    # without --burn-in and --seed, the orbit is chaos_game's default one
+    ifs = systems.cantor()
+    argv = ["attractor", "--ifs", "cantor", "--chaos", "2000", "--out", str(tmp_path / "a")]
+    assert main(argv) == 0
+    io.cache_attractor(ifs, chaos_game(ifs, 2000), tmp_path / "b")
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()

@@ -513,3 +513,47 @@ def test_verify_nesting_one_tree_per_prefix(interval_ifs, interval_cloud, monkey
     builds = _count_kdtree_builds(monkeypatch, scipy.spatial)
     run_verify(interval_ifs, interval_cloud)
     assert 0 < len(builds) <= 14
+
+
+class _Unbounded(cKDTree):
+    """A KD-tree whose queries drop distance_upper_bound and workers."""
+
+    def query(self, x, k=1, **kwargs):
+        kwargs.pop("distance_upper_bound", None)
+        kwargs.pop("workers", None)
+        return super().query(x, k, **kwargs)
+
+
+def _bounded_query_outputs(ifs, cloud):
+    """The leaf-index masks, the gluing points and the nesting residual."""
+    cloud = _fresh(cloud)
+    masks = [fbe.manifold._leaf_index(ifs, cloud, i)[1] for i in range(1, ifs.n_maps + 1)]
+    glue = [fbe.manifold._gluing_points(ifs, cloud, i) for i in range(1, ifs.n_maps + 1)]
+    report = run_verify(ifs, cloud)
+    nesting = [c.residual for c in report.checks if c.name == "continuation-nesting"]
+    return masks, glue, nesting
+
+
+@pytest.mark.parametrize(
+    "name, cell",
+    [
+        ("sierpinski", 2.0**-6),
+        ("koch", 2.0**-6),
+        ("interval", 2.0**-6),
+        ("mobius_arc", 2.0**-6),
+        # the nesting re-queries rows at or past tau here (256 of 448 at seed 7)
+        ("cantor", 3.0**-5),
+    ],
+)
+def test_bounded_queries_match_unbounded(name, cell, monkeypatch):
+    ifs = systems.by_name(name)
+    cloud = attractor(ifs, cell)
+    masks, glue, nesting = _bounded_query_outputs(ifs, cloud)
+    monkeypatch.setattr(fbe.manifold, "cKDTree", _Unbounded)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", _Unbounded)
+    masks_u, glue_u, nesting_u = _bounded_query_outputs(ifs, cloud)
+    assert all(np.array_equal(a, b) for a, b in zip(masks, masks_u, strict=True))
+    for g, g_u in zip(glue, glue_u, strict=True):
+        assert len(g) == len(g_u)
+        assert all(np.array_equal(p, q) for p, q in zip(g, g_u))
+    assert nesting == nesting_u and len(nesting) == 1
