@@ -19,7 +19,6 @@ from .addresses import (
 )
 from .basin import (
     BasinInclusionReport,
-    ContinuationCloud,
     MembershipResult,
     Raster,
     basin_inclusion_check,

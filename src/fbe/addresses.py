@@ -101,24 +101,11 @@ class Address:
 
     # -- operations ----------------------------------------------------------
 
-    def shift(self) -> "Address":
-        """Drop the first digit."""
-        if self.pre:
-            return Address(self.pre[1:], self.period)
-        if self.period:
-            return Address((), self.period[1:] + self.period[:1])
-        raise EmptyAddressError("cannot shift the empty word")
-
     def shifted(self, k: int) -> "Address":
         a = self
         for _ in range(k):
-            a = a.shift()
+            a = shift(a)
         return a
-
-    def negate(self) -> "Address":
-        return Address(
-            tuple(-d for d in self.pre), tuple(-d for d in self.period)
-        )
 
     @classmethod
     def finite(cls, digits) -> "Address":
@@ -208,11 +195,16 @@ def validate(addr: Address, n_maps: int) -> AddressClass:
 
 
 def shift(addr: Address) -> Address:
-    return addr.shift()
+    """Drop the first digit."""
+    if addr.pre:
+        return Address(addr.pre[1:], addr.period)
+    if addr.period:
+        return Address((), addr.period[1:] + addr.period[:1])
+    raise EmptyAddressError("cannot shift the empty word")
 
 
 def negate(addr: Address) -> Address:
-    return addr.negate()
+    return Address(tuple(-d for d in addr.pre), tuple(-d for d in addr.period))
 
 
 def sigma(n: int, addr: Address) -> Address:
@@ -220,7 +212,7 @@ def sigma(n: int, addr: Address) -> Address:
     check_digit(n)
     first = addr.digit(1) if not addr.is_empty else None
     if first == -n:
-        return addr.shift()
+        return shift(addr)
     return Address((n,) + addr.pre, addr.period)
 
 

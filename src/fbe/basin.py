@@ -18,7 +18,7 @@ import numpy as np
 
 from .addresses import Address
 from .errors import DomainError, ResolutionError
-from .ifs import AttractorCloud, IfsSystem, coding_map
+from .ifs import AttractorCloud, IfsSystem, check_word_tree, coding_map
 from .io import format_rows
 from .maps import from_sphere
 
@@ -34,40 +34,25 @@ def _theta_digits(theta, k: int) -> Word:
     if k < 0:
         raise DomainError(f"continuation depth {k} must be >= 0")
     if isinstance(theta, Address):
-        if not theta.is_infinite and k > len(theta.pre):
-            raise DomainError(
-                f"continuation depth {k} exceeds the {len(theta.pre)} digits of theta"
-            )
-        digits = theta.prefix(k)
-    else:
-        theta = tuple(theta)
-        if k > len(theta):
-            raise DomainError(
-                f"continuation depth {k} exceeds the {len(theta)} digits of theta"
-            )
-        digits = theta[:k]
+        theta = theta.prefix(k) if theta.is_infinite else theta.pre
+    theta = tuple(theta)
+    if k > len(theta):
+        raise DomainError(
+            f"continuation depth {k} exceeds the {len(theta)} digits of theta"
+        )
+    digits = theta[:k]
     if any(d <= 0 for d in digits):
         raise DomainError("theta must be a positive word")
     return digits
 
 
-@dataclass(eq=False)
-class ContinuationCloud:
-    """Image of the attractor cloud under the first k inverse maps of theta."""
-
-    theta_prefix: Word
-    k: int
-    points: np.ndarray
-
-
 def finite_continuation(
     ifs: IfsSystem, cloud: AttractorCloud, theta, k: int
-) -> ContinuationCloud:
-    """f_{theta_1}^{-1} o ... o f_{theta_k}^{-1} applied to the cloud."""
-    digits = _theta_digits(theta, k)
-    word = tuple(-d for d in digits)
-    pts = ifs.apply_word(word, cloud.points)
-    return ContinuationCloud(theta_prefix=digits, k=k, points=pts)
+) -> np.ndarray:
+    """The points of B_{theta|k}: f_{theta_1}^{-1} o ... o f_{theta_k}^{-1}
+    applied to the cloud."""
+    word = tuple(-d for d in _theta_digits(theta, k))
+    return ifs.apply_word(word, cloud.points)
 
 
 # -- rasters -------------------------------------------------------------------
@@ -110,16 +95,10 @@ class Raster:
 
 
 def _normalize_region(region) -> tuple[np.ndarray, np.ndarray]:
-    region = np.asarray(region, dtype=float)
-    if region.shape == (2,):
-        lo, hi = np.array([region[0]]), np.array([region[1]])
-    elif region.shape == (2, 2):
-        lo, hi = region[0].copy(), region[1].copy()
-    elif region.shape == (4,):
-        lo = np.array([region[0], region[1]])
-        hi = np.array([region[2], region[3]])
-    else:
-        raise DomainError("region must be (x0,x1), (x0,y0,x1,y1) or ((x0,y0),(x1,y1))")
+    region = np.array(region, dtype=float)  # a copy: lo and hi are its views
+    if region.shape not in ((2,), (4,)):
+        raise DomainError("region must be (x0,x1) or (x0,y0,x1,y1)")
+    lo, hi = np.split(region, 2)
     if not (np.isfinite(region).all() and np.all(lo < hi)):
         raise DomainError("region must be finite with positive extent")
     return lo, hi
@@ -212,11 +191,18 @@ def _tolerance(cloud: AttractorCloud, tol: float | None) -> float:
 
 
 def _raster_grid(
-    cloud: AttractorCloud, region, nx: int, ny: int, depth: int, tau: float | None
+    ifs: IfsSystem,
+    cloud: AttractorCloud,
+    region,
+    nx: int,
+    ny: int,
+    depth: int,
+    tau: float | None,
 ) -> _RasterGrid:
     """The empty grid of a raster builder, after the checks both builders share."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    check_word_tree(ifs.n_maps, depth)
     if nx < 1 or ny < 1:
         raise DomainError(f"grid sizes must be >= 1, got {nx} x {ny}")
     if (nx + 1) * (ny + 1) > np.iinfo(np.int32).max:
@@ -252,7 +238,7 @@ def fast_basin_raster(
     be skipped, because f_w(A) is in A, so each pulled cloud
     f_w^{-1}(cloud) comes back to the attractor.
     """
-    grid = _raster_grid(cloud, region, nx, ny, depth, tau)
+    grid = _raster_grid(ifs, cloud, region, nx, ny, depth, tau)
     stack = [(0, cloud.points)]
     while stack:
         word_len, pts = stack.pop()
@@ -275,10 +261,10 @@ def raster_from_continuations(
     """The same hit set as fast_basin_raster, computed the other way:
     as the union of finite continuations B_{theta|k} over positive words.
     """
-    grid = _raster_grid(cloud, region, nx, ny, depth, tau)
+    grid = _raster_grid(ifs, cloud, region, nx, ny, depth, tau)
     for k in range(depth + 1):
         for theta in itertools.product(range(1, ifs.n_maps + 1), repeat=k):
-            pts = finite_continuation(ifs, cloud, theta, k).points
+            pts = finite_continuation(ifs, cloud, theta, k)
             grid.mark(_raster_coords(ifs, pts), k)
     return grid.finalize()
 
@@ -314,6 +300,7 @@ def membership(
     cloud f_w^{-1}(cloud)); the cheap image-space distance only prunes.
     """
     tol = _tolerance(cloud, tol)
+    check_word_tree(ifs.n_maps, depth)
     x = np.asarray(x, dtype=float).reshape(-1)
     d0 = cloud.dist_point(x)
     if d0 <= tol:
@@ -343,10 +330,7 @@ def continuation_pullbacks(
     ifs: IfsSystem, cloud: AttractorCloud, theta, depth: int
 ) -> list[np.ndarray]:
     """Points of B_{theta|k} for k = 0..depth (k=0 is the cloud itself)."""
-    out = [cloud.points]
-    for k in range(1, depth + 1):
-        out.append(finite_continuation(ifs, cloud, theta, k).points)
-    return out
+    return [finite_continuation(ifs, cloud, theta, k) for k in range(depth + 1)]
 
 
 def membership_along(

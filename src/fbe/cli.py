@@ -136,19 +136,17 @@ def _cmd_continuation(args) -> int:
     ifs = _resolve_ifs(args.ifs)
     cloud = _get_cloud(ifs, args.cell)
     theta = parse_address(args.theta)
-    cont = basin.finite_continuation(ifs, cloud, theta, args.k)
+    pts = basin.finite_continuation(ifs, cloud, theta, args.k)
     if args.out:
         # H(f(X), f(Y)) <= Lip(f) H(X, Y): the inverse word scales epsilon
-        lip = ifs.word_lipschitz(tuple(-d for d in cont.theta_prefix))
+        lip = ifs.word_lipschitz(tuple(-d for d in theta.prefix(args.k)))
         eps = lip * cloud.epsilon
-        io.cache_attractor(
-            ifs, AttractorCloud(cont.points, eps, dict(cloud.meta)), args.out
-        )
-    lo = cont.points.min(axis=0)
-    hi = cont.points.max(axis=0)
+        io.cache_attractor(ifs, AttractorCloud(pts, eps, dict(cloud.meta)), args.out)
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
     print(
         f"continuation theta={format_address(theta)} k={args.k}: "
-        f"{cont.points.shape[0]} points, bbox={np.round(lo, 6).tolist()}.."
+        f"{pts.shape[0]} points, bbox={np.round(lo, 6).tolist()}.."
         f"{np.round(hi, 6).tolist()}"
     )
     return 0
@@ -195,21 +193,14 @@ def _cmd_manifold(args) -> int:
             )
         )
     elif args.mop == "leaves":
-        rows = ["theta,count,proj_min,proj_max"] if ifs.dim == 1 else [
-            "theta,count,min_x,min_y,max_x,max_y"
-        ]
+        c = min(ifs.dim, 2)  # the coordinates a row shows
+        cols = "proj_min,proj_max" if c == 1 else "min_x,min_y,max_x,max_y"
+        rows = [f"theta,count,{cols}"]
         for theta in manifold.enumerate_leaves(ifs.n_maps, args.depth):
             pts = manifold.leaf_projection(ifs, cloud, theta)
             label = format_address(Address.finite(theta)) or "()"
-            lo = pts.min(axis=0)
-            hi = pts.max(axis=0)
-            if ifs.dim == 1:
-                rows.append(f"{label},{pts.shape[0]},{lo[0]:.9g},{hi[0]:.9g}")
-            else:
-                rows.append(
-                    f"{label},{pts.shape[0]},{lo[0]:.9g},{lo[1]:.9g},"
-                    f"{hi[0]:.9g},{hi[1]:.9g}"
-                )
+            box = np.concatenate([pts.min(axis=0)[:c], pts.max(axis=0)[:c]])
+            rows.append(f"{label},{pts.shape[0]}" + "".join(f",{v:.9g}" for v in box))
         text = "\n".join(rows) + "\n"
         if args.out:
             Path(args.out).write_text(text)

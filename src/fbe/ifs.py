@@ -100,9 +100,6 @@ class IfsSystem:
             pts = self.transform(d, pts)
         return pts
 
-    def apply_word_point(self, word: Word, x) -> np.ndarray:
-        return self.apply_word(word, np.atleast_2d(x))[0]
-
     # -- Lipschitz bounds -----------------------------------------------------
 
     def map_lipschitz(self, digit: int) -> float:
@@ -235,9 +232,28 @@ def _resolved_cloud(
 # The most image points one step of `attractor` may make: admits triangle
 # at cell 1e-3 (2,005,084) and stops expanding systems before memory does.
 MAX_IMAGE_POINTS = 1 << 22
+# The most words a walk over all words of length <= depth may take: admits
+# depth 15 on two maps, 9 on three and 7 on four, past every depth of the
+# tests, the benchmark and the README; depth 40 on two maps, 2^41 words,
+# would never finish.
+MAX_WORDS = 1 << 16
 # The most steps `attractor` takes: the slowest built-in at the cells of
 # the tests and the benchmark, koch, repeats within 31.
 MAX_STEPS = 200
+
+
+def check_word_tree(n_maps: int, depth: int) -> None:
+    """Refuse a walk over the sum_{k <= depth} n_maps^k words of length
+    <= depth when they number more than MAX_WORDS; counted level by level,
+    so a huge depth stops early."""
+    words, level = 0, 1
+    for _ in range(depth + 1):
+        words += level
+        if words > MAX_WORDS:
+            raise ResolutionError(
+                f"depth {depth} over {n_maps} maps passes {MAX_WORDS} words"
+            )
+        level *= n_maps
 
 
 def _snapped_step(ifs: IfsSystem, pts: np.ndarray, cell: float) -> np.ndarray:

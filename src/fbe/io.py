@@ -116,23 +116,38 @@ def cache_attractor(ifs: IfsSystem, cloud: AttractorCloud, path) -> None:
 
 
 def load_cached(path, ifs: IfsSystem | None = None) -> AttractorCloud:
-    """Read a cloud cache; with an IfsSystem given, the stored hash must match."""
+    """Read a cloud cache; with an IfsSystem given, the stored hash must match.
+    A malformed header or body raises SpecFormatError."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "FBE-CLOUD" or header[1] != "v1":
             raise SpecFormatError(f"{path}: not an FBE-CLOUD v1 file")
-        stored_hash, eps, count = header[2], float(header[3]), int(header[4])
+        stored_hash = header[2]
         if ifs is not None and stored_hash != ifs.ifs_hash():
             raise StaleCacheError(
                 f"{path}: cache hash {stored_hash} does not match the spec "
                 f"hash {ifs.ifs_hash()}"
             )
-        pts = np.loadtxt(fh, ndmin=2)
+        # np.loadtxt warns, rather than raises, on a body with no rows; a
+        # warnings filter is process-wide, so the rows are looked for here
+        start = fh.tell()
+        while (line := fh.readline()) and not line.partition("#")[0].strip():
+            pass
+        if not line:
+            raise SpecFormatError(f"{path}: no point rows")
+        fh.seek(start)
+        try:
+            eps, count = float(header[3]), int(header[4])
+            pts = np.loadtxt(fh, ndmin=2)
+        except ValueError as e:
+            raise SpecFormatError(f"{path}: malformed cloud: {e}") from None
     if pts.shape[0] != count:
         raise SpecFormatError(f"{path}: expected {count} points, found {pts.shape[0]}")
-    return AttractorCloud(
-        pts, eps, {"ifs_hash": stored_hash, "method": "cache"}
-    )
+    if ifs is not None and pts.shape[1] != ifs.dim:
+        raise SpecFormatError(
+            f"{path}: {pts.shape[1]} coordinates per row, not {ifs.dim}"
+        )
+    return AttractorCloud(pts, eps, {"ifs_hash": stored_hash, "method": "cache"})
 
 
 def cache_dir() -> Path | None:

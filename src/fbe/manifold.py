@@ -21,7 +21,7 @@ from .errors import (
     DomainError,
     EmptyLeafError,
 )
-from .ifs import AttractorCloud, IfsSystem, coding_map
+from .ifs import AttractorCloud, IfsSystem, check_word_tree, coding_map
 
 Word = tuple[int, ...]
 
@@ -88,8 +88,7 @@ def manifold_point(
             raise DomainError(
                 "fractional point lies in f_i(A): not a leaf representative"
             )
-    proj = ifs.apply_word_point(theta, x)
-    return ManifoldPoint(theta=theta, x=x, proj=proj)
+    return ManifoldPoint(theta=theta, x=x, proj=ifs.apply_word(theta, x)[0])
 
 
 def canonicalize(
@@ -112,7 +111,7 @@ def canonicalize(
         if _on_cloud(cloud, val, f"pi(S^{k}({addr}))"):
             theta = addr.prefix(k)
             return ManifoldPoint(
-                theta=theta, x=val, proj=ifs.apply_word_point(theta, val)
+                theta=theta, x=val, proj=ifs.apply_word(theta, val)[0]
             )
     raise AmbiguousMembershipError(
         f"no suffix of {addr} landed on the cloud within tau"
@@ -202,6 +201,7 @@ def enumerate_leaves(n_maps: int, depth: int) -> list[Word]:
     """All integer parts up to the given length, length-then-lex order."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    check_word_tree(n_maps, depth)
     digits = [-i for i in range(1, n_maps + 1)]
     out: list[Word] = [()]
     for length in range(1, depth + 1):

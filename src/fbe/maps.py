@@ -119,10 +119,6 @@ class MoebiusMap:
         object.__setattr__(self, "c", c / s)
         object.__setattr__(self, "d", d / s)
 
-    @property
-    def dim(self) -> int:
-        return 3
-
     def apply_complex(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.empty_like(z)

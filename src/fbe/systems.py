@@ -22,13 +22,11 @@ def interval() -> IfsSystem:
     return IfsSystem("R1", (_aff1(0.5, 0.0), _aff1(0.5, 0.5)))
 
 
-def sierpinski(a=(0.0, 0.0), b=(1.0, 0.0), c=(0.0, 1.0)) -> IfsSystem:
-    """{(x+v)/2 : v in {a, b, c}}; attractor is the gasket on a, b, c."""
+def sierpinski() -> IfsSystem:
+    """{(x+v)/2 : v in {(0,0), (1,0), (0,1)}}; attractor is the gasket."""
     half = 0.5 * np.eye(2)
-    maps = tuple(
-        AffineMap(half, 0.5 * np.asarray(v, dtype=float)) for v in (a, b, c)
-    )
-    return IfsSystem("R2", maps)
+    offsets = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5))
+    return IfsSystem("R2", tuple(AffineMap(half, np.array(t)) for t in offsets))
 
 
 def koch() -> IfsSystem:
@@ -95,11 +93,10 @@ def projective_line() -> IfsSystem:
     return IfsSystem("sphere", (m1, m2))
 
 
-def schottky(c: complex = 0.15) -> IfsSystem:
+def schottky() -> IfsSystem:
     """Loxodromic Moebius pair generating a Schottky group; totally
-    disconnected attractor near +-1 for |c| well inside the unit disc."""
-    if abs(c) in (0.0, 1.0):
-        raise ValueError("|c| must avoid 0 and 1")
+    disconnected attractor near +-1."""
+    c = 0.15
     k = 2.0 + np.sqrt(3.0)
     a = (-1j * k * c + 1.0) / (1.0 - c)
     m1 = MoebiusMap(a, -1j * k, 1.0, -1j * k + a - 1.0)

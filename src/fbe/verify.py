@@ -143,8 +143,8 @@ def run_verify(
         ]
         worst = 0.0
         for w in sorted({theta[:k] for theta in thetas for k in range(1, 4)}):
-            tree = cKDTree(finite_continuation(ifs, cloud, w, len(w)).points)
-            inner = finite_continuation(ifs, cloud, w, len(w) - 1).points
+            tree = cKDTree(finite_continuation(ifs, cloud, w, len(w)))
+            inner = finite_continuation(ifs, cloud, w, len(w) - 1)
             lip = ifs.word_lipschitz(tuple(-d for d in w))
             # bounded at tau; rows at or past it are queried again unbounded
             d = tree.query(inner, distance_upper_bound=tau, workers=-1)[0]

@@ -59,12 +59,17 @@ def rng():
     return np.random.Generator(np.random.PCG64(20240917))
 
 
+class Overrun(Exception):
+    """A block outlived its time limit. Not a TimeoutError: that is an
+    OSError, which `fbe.cli.main` would report as a clean exit 2."""
+
+
 @contextlib.contextmanager
 def _time_limit(seconds):
-    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+    """Raise Overrun in the block once `seconds` of wall time pass."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise Overrun(f"still running after {seconds} s")
 
     old = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)

@@ -21,7 +21,9 @@ from fbe.basin import (
     raster_from_continuations,
 )
 from fbe.errors import DomainError, ResolutionError
+from fbe.ifs import AttractorCloud
 
+from conftest import _time_limit
 from oracles import (
     binary_orbit_has_one_forever,
     cantor_raster_oracle,
@@ -35,29 +37,31 @@ A = parse_address
 
 
 def test_continuation_cantor_endpoints(cantor_ifs, cantor_cloud):
-    cont = finite_continuation(cantor_ifs, cantor_cloud, A("(2)*"), 1)
+    pts = finite_continuation(cantor_ifs, cantor_cloud, A("(2)*"), 1)
     tau = cantor_cloud.tau
-    d_to_m2 = np.abs(cont.points - (-2.0)).min()
-    d_to_1 = np.abs(cont.points - 1.0).min()
+    d_to_m2 = np.abs(pts - (-2.0)).min()
+    d_to_1 = np.abs(pts - 1.0).min()
     assert d_to_m2 <= 3 * tau and d_to_1 <= 3 * tau
 
 
 def test_continuation_k0_is_cloud(cantor_ifs, cantor_cloud):
-    cont = finite_continuation(cantor_ifs, cantor_cloud, A("(2)*"), 0)
-    assert np.array_equal(cont.points, cantor_cloud.points)
+    pts = finite_continuation(cantor_ifs, cantor_cloud, A("(2)*"), 0)
+    assert np.array_equal(pts, cantor_cloud.points)
 
 
 def test_continuation_interval_triple(interval_ifs, interval_cloud):
-    cont = finite_continuation(interval_ifs, interval_cloud, A("(1)*"), 3)
-    assert cont.points.min() == pytest.approx(0.0, abs=0.02)
-    assert cont.points.max() == pytest.approx(8.0, abs=0.02)
-    gaps = np.diff(np.sort(cont.points[:, 0]))
+    pts = finite_continuation(interval_ifs, interval_cloud, A("(1)*"), 3)
+    assert pts.min() == pytest.approx(0.0, abs=0.02)
+    assert pts.max() == pytest.approx(8.0, abs=0.02)
+    gaps = np.diff(np.sort(pts[:, 0]))
     assert gaps.max() <= 8 * 2 * interval_cloud.meta["cell"]
 
 
 def test_continuation_depth_error(cantor_ifs, cantor_cloud):
     with pytest.raises(DomainError):
         finite_continuation(cantor_ifs, cantor_cloud, (1, 2), 3)
+    with pytest.raises(DomainError):  # a finite Address is as short
+        finite_continuation(cantor_ifs, cantor_cloud, A("1.2"), 3)
 
 
 def test_continuation_requires_positive_theta(cantor_ifs, cantor_cloud):
@@ -69,9 +73,9 @@ def test_continuation_nesting(interval_ifs, interval_cloud, rng):
     tau = interval_cloud.tau
     for _ in range(10):
         theta = tuple(int(d) for d in rng.choice([1, 2], size=4))
-        prev = finite_continuation(interval_ifs, interval_cloud, theta, 0).points
+        prev = finite_continuation(interval_ifs, interval_cloud, theta, 0)
         for k in range(1, 5):
-            cur = finite_continuation(interval_ifs, interval_cloud, theta, k).points
+            cur = finite_continuation(interval_ifs, interval_cloud, theta, k)
             assert cKDTree(cur).query(prev)[0].max() <= tau
             prev = cur
 
@@ -238,6 +242,15 @@ def test_raster_tau_below_floor(interval_ifs, interval_cloud):
                 builder(interval_ifs, interval_cloud, (-3.0, 4.0), 64, 1, tau=tau)
 
 
+def test_raster_depth_bounds(interval_ifs, interval_cloud):
+    for builder in (fast_basin_raster, raster_from_continuations):
+        with pytest.raises(DomainError):
+            builder(interval_ifs, interval_cloud, (-3.0, 4.0), 64, 1, depth=-1)
+        # 2^41 - 1 words: refused on the count, before the first word
+        with _time_limit(1.0), pytest.raises(ResolutionError):
+            builder(interval_ifs, interval_cloud, (-3.0, 4.0), 64, 1, depth=40)
+
+
 def test_raster_pgm_and_csv(cantor_ifs, cantor_cloud):
     ras = fast_basin_raster(cantor_ifs, cantor_cloud, (-3.0, 3.0), 64, 1, depth=1)
     pgm = ras.to_pgm()
@@ -293,7 +306,7 @@ def test_membership_yes_witness(cantor_ifs, cantor_cloud_fine):
     res = membership(cantor_ifs, cantor_cloud_fine, [2.0], depth=4)
     assert res.reached and res.witness == (1,)
     # the image-space invariant holds for contractive systems
-    img = cantor_ifs.apply_word_point(res.witness, [2.0])
+    img = cantor_ifs.apply_word(res.witness, [2.0])[0]
     assert cantor_cloud_fine.dist_point(img) <= res.tolerance
 
 
@@ -327,6 +340,12 @@ def test_membership_tol_below_tau(cantor_ifs, cantor_cloud):
     for tol in (cantor_cloud.tau / 10, np.inf, np.nan):
         with pytest.raises(ResolutionError):
             membership(cantor_ifs, cantor_cloud, [0.5], depth=2, tol=tol)
+
+
+def test_membership_word_bound(cantor_ifs, cantor_cloud):
+    # refused on the word count, even for a point of the cloud itself
+    with _time_limit(1.0), pytest.raises(ResolutionError):
+        membership(cantor_ifs, cantor_cloud, cantor_cloud.points[0], depth=40)
 
 
 def test_membership_along_tol_below_tau(interval_ifs, interval_cloud):
@@ -385,6 +404,17 @@ def test_reversible_margin_error(interval_ifs, interval_cloud):
             is_reversible_periodic(interval_ifs, interval_cloud, (1, 2), margin)
 
 
+def test_reversible_periodic_domain(interval_ifs, interval_cloud):
+    margin = interval_cloud.tau
+    for period in ((), (1, -2)):
+        with pytest.raises(DomainError):
+            is_reversible_periodic(interval_ifs, interval_cloud, period, margin)
+    # the interior test has no sphere version
+    cloud = AttractorCloud(np.array([[0.0, 0.0, 1.0]]), 0.01)
+    with pytest.raises(DomainError):
+        is_reversible_periodic(systems.mobius_arc(), cloud, (1,), cloud.tau)
+
+
 # -- basin inclusion ----------------------------------------------------------------
 
 
@@ -427,6 +457,11 @@ def test_membership_along_route(interval_ifs, interval_cloud):
     assert res.reached
     k = res.depth_searched
     assert res.witness == tuple(reversed(A("(1.2)*").prefix(k)))
+    # B_{(1.2)*|k} for k <= 2 lies in [-2, 2]
+    res = membership_along(
+        interval_ifs, interval_cloud, [3.9], A("(1.2)*"), depth=2, tol=0.01
+    )
+    assert (res.status, res.witness, res.depth_searched) == ("no_up_to_depth", None, 2)
 
 
 def test_membership_on_sphere():

@@ -34,7 +34,20 @@ GOLDEN = {
         ["attractor", "--ifs", "mobius_arc", "--chaos", "2000", "--seed", "1"],
         "44c3936a7797f65fec18dd2d81e61f5db84d4e21c4b1efff412a80b69e914196",
     ),
-}
+    # B_{theta|4} of [0, 1] with its Lipschitz-scaled epsilon
+    "continuation-interval.cloud": (
+        ["continuation", "--ifs", "interval", "--theta", "(1.2)*", "--k", "4"],
+        "ed1912f0a652e144089648826b7c08c6db7d9b7f954d739c13c12e1254855fe3",
+    ),
+    # the two-coordinate rows of the leaf table
+    "leaves-sierpinski.csv": (
+        [
+            "manifold", "leaves", "--ifs", "sierpinski", "--cell", "0.015625",
+            "--depth", "2",
+        ],
+        "e8d5f72cb8be1428827922b14d33c06ac881f25864776950ef3bfd46098aa8e9",
+    ),
+}  # fmt: skip
 RASTER = [
     "fastbasin", "--ifs", "sierpinski", "--cell", "0.0078125",
     "--region", "-3,-3,4,4", "--grid", "128,128", "--depth", "3",

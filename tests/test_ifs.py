@@ -30,9 +30,9 @@ A = parse_address
 
 
 def test_apply_word_examples(cantor_ifs, interval_ifs):
-    assert cantor_ifs.apply_word_point((1,), [2.0]) == pytest.approx([2 / 3])
-    assert cantor_ifs.apply_word_point((), [0.7]) == pytest.approx([0.7])
-    assert interval_ifs.apply_word_point((-2,), [0.5]) == pytest.approx([0.0])
+    assert cantor_ifs.apply_word((1,), [2.0])[0] == pytest.approx([2 / 3])
+    assert cantor_ifs.apply_word((), [0.7])[0] == pytest.approx([0.7])
+    assert interval_ifs.apply_word((-2,), [0.5])[0] == pytest.approx([0.0])
 
 
 def test_apply_word_concatenation(koch_ifs, rng):
@@ -40,8 +40,8 @@ def test_apply_word_concatenation(koch_ifs, rng):
         w1 = tuple(int(d) for d in rng.choice([-2, -1, 1, 2], size=3))
         w2 = tuple(int(d) for d in rng.choice([-2, -1, 1, 2], size=3))
         x = rng.normal(size=2)
-        lhs = koch_ifs.apply_word_point(w1 + w2, x)
-        rhs = koch_ifs.apply_word_point(w1, koch_ifs.apply_word_point(w2, x))
+        lhs = koch_ifs.apply_word(w1 + w2, x)[0]
+        rhs = koch_ifs.apply_word(w1, koch_ifs.apply_word(w2, x))[0]
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
@@ -52,7 +52,7 @@ def test_inverse_word_identity(interval_ifs, koch_ifs, rng):
             w = tuple(int(d) for d in rng.choice([1, 2], size=k))
             x = rng.normal(size=dim)
             inv = tuple(-d for d in reversed(w))
-            back = ifs.apply_word_point(w, ifs.apply_word_point(inv, x))
+            back = ifs.apply_word(w, ifs.apply_word(inv, x))[0]
             assert np.linalg.norm(back - x) < 1e-9
 
 
@@ -182,6 +182,20 @@ def test_attractor_refuses_runaway_growth(monkeypatch):
     ifs = IfsSystem("R2", tuple(shears))
     with _time_limit(1.0), pytest.raises(ResolutionError, match="10000"):
         attractor(ifs, 1e-3)
+
+
+@pytest.mark.parametrize("n_maps", [1, 2, 3, 4])
+def test_word_tree_bound(n_maps):
+    # the deepest admitted tree has at most MAX_WORDS words; one level more
+    # passes it, and a huge depth is refused as soon as the count does
+    depth, words = 0, 1
+    while words + n_maps ** (depth + 1) <= fbe.ifs.MAX_WORDS:
+        depth += 1
+        words += n_maps**depth
+    fbe.ifs.check_word_tree(n_maps, depth)
+    for too_deep in (depth + 1, 10**9):
+        with _time_limit(1.0), pytest.raises(ResolutionError):
+            fbe.ifs.check_word_tree(n_maps, too_deep)
 
 
 def test_attractor_f_invariance(cantor_cloud, cantor_ifs, sierpinski_cloud, sierpinski_ifs):

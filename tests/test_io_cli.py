@@ -482,6 +482,9 @@ def test_cli_unreadable_spec(tmp_path, capsys):
         ["fastbasin", "--region", "-3,3", "--grid", "8", "--tol", "1e-9"],
         ["manifold", "dist", "--a", "-1:abc", "--b", "-1:0.75"],
         ["manifold", "dist", "--a", "-1:0.75,0.2", "--b", "-1:0.75"],
+        ["manifold", "dist", "--a", "0.75", "--b", "-1:0.75"],  # no theta
+        ["manifold", "dist", "--a", "(-1)*:0.75", "--b", "-1:0.75"],  # infinite
+        ["fastbasin", "--region", "-3,3", "--grid", "8", "--depth", "40"],  # word tree
         ["attractor", "--cell", "nan"],
         ["attractor", "--cell", "0"],
         ["attractor", "--cell", "-1"],
@@ -508,11 +511,37 @@ def test_cli_malformed_value(capsys, argv):
         ["continuation", "--ifs", "interval", "--theta", "(1)*", "--k", "-1"],
         ["manifold", "branch", "--ifs", "interval", "--depth", "-1"],
         ["manifold", "leaves", "--ifs", "interval", "--depth", "-1"],
+        ["manifold", "leaves", "--ifs", "sierpinski", "--depth", "25"],  # word tree
         ["attractor", "--ifs", "cantor", "--chaos", "1000", "--burn-in", "-1"],
     ],
     ids=" ".join,
 )
 def test_cli_malformed_digit_or_count(capsys, argv):
+    _exits_2(argv, capsys)
+
+
+# doctored cloud caches: (header fields, rows) -> the file's lines
+_CACHES = {
+    "not-a-cloud": lambda h, rows: ["FBE-CLOUD v2", *rows],
+    "epsilon-text": lambda h, rows: [" ".join([*h[:3], "x", h[4]]), *rows],
+    "count-text": lambda h, rows: [" ".join([*h[:4], "y"]), *rows],
+    "count-mismatch": lambda h, rows: [" ".join([*h[:4], "7"]), *rows],
+    "row-text": lambda h, rows: [" ".join(h), "abc", *rows[1:]],
+    "no-rows": lambda h, rows: [" ".join(h)],
+    "blank-rows": lambda h, rows: [" ".join(h), "", "  # a comment"],
+    "two-columns": lambda h, rows: [" ".join(h), *(f"{r} 0" for r in rows)],
+}
+
+
+@pytest.mark.parametrize("doctor", _CACHES.values(), ids=_CACHES)
+def test_cli_corrupt_cache(tmp_path, monkeypatch, capsys, doctor):
+    monkeypatch.setenv(io.CACHE_ENV, str(tmp_path))
+    argv = ["fastbasin", "--ifs", "interval", "--cell", "0.01"]
+    argv += ["--region", "-3,4", "--grid", "64", "--depth", "2"]
+    assert main(argv) == 0
+    (path,) = tmp_path.glob("*.cloud")
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join(doctor(header.split(), rows)) + "\n")
     _exits_2(argv, capsys)
 
 

@@ -9,7 +9,7 @@ import fbe.manifold
 from fbe import attractor, systems
 from fbe.addresses import Address, parse_address
 from fbe.basin import fast_basin_raster
-from fbe.errors import AmbiguousMembershipError, DomainError
+from fbe.errors import AmbiguousMembershipError, DomainError, ResolutionError
 from fbe.ifs import AttractorCloud, IfsSystem, coding_map, hausdorff_distance
 from fbe.manifold import (
     ManifoldPoint,
@@ -248,6 +248,9 @@ def test_enumerate_leaves_counts():
     ]
     assert enumerate_leaves(2, 0) == [()]
     assert len(enumerate_leaves(3, 2)) == 13
+    # (3^26 - 1) / 2 labels are refused on the count, before the first
+    with pytest.raises(ResolutionError):
+        enumerate_leaves(3, 25)
 
 
 def test_leaf_projection_interval(interval_ifs, interval_cloud):

@@ -62,7 +62,7 @@ def test_triangle_subdivision_geometry():
 
 
 def test_schottky_attractor_near_units():
-    ifs = systems.schottky(0.15)
+    ifs = systems.schottky()
     cloud = attractor(ifs, 1e-3)
     from fbe.maps import from_sphere
 
