@@ -17,8 +17,8 @@ from fbe import io, systems
 from fbe.basin import (
     _RasterGrid,
     _raster_coords,
-    continuation_pullbacks,
     fast_basin_raster,
+    finite_continuation,
 )
 from fbe.ifs import attractor
 
@@ -74,8 +74,8 @@ def render_triangle_continuations(out_dir: Path, fast: bool):
     for last in (1, 2, 3, 4):
         theta = prefix + (last,)
         g = _RasterGrid(region_lo, region_hi, grid, grid, tau=cloud.tau)
-        pulls = continuation_pullbacks(ifs, cloud, theta, len(theta))
-        for k, pts in enumerate(pulls[1:], start=1):
+        for k in range(1, len(theta) + 1):
+            pts = finite_continuation(ifs, cloud, theta, k)
             g.mark(_raster_coords(ifs, pts), k)
         ras = g.finalize()
         path = out_dir / f"triangle_continuation_sheet{last}.pgm"

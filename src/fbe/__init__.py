@@ -26,7 +26,6 @@ from .basin import (
     finite_continuation,
     is_reversible_periodic,
     membership,
-    membership_along,
     raster_from_continuations,
 )
 from .ifs import (

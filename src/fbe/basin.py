@@ -29,8 +29,9 @@ class ResolutionWarning(UserWarning):
     """Raster cells finer than the cloud tolerance: hits are tolerance-dominated."""
 
 
-def _theta_digits(theta, k: int) -> Word:
-    """First k digits of a positive word given as Address or sequence."""
+def _theta_digits(ifs: IfsSystem, theta, k: int) -> Word:
+    """First k digits of a positive word over ifs's digits, given as
+    Address or sequence."""
     if k < 0:
         raise DomainError(f"continuation depth {k} must be >= 0")
     if isinstance(theta, Address):
@@ -43,6 +44,8 @@ def _theta_digits(theta, k: int) -> Word:
     digits = theta[:k]
     if any(d <= 0 for d in digits):
         raise DomainError("theta must be a positive word")
+    for d in set(digits):
+        ifs.check_digit(d)
     return digits
 
 
@@ -50,9 +53,16 @@ def finite_continuation(
     ifs: IfsSystem, cloud: AttractorCloud, theta, k: int
 ) -> np.ndarray:
     """The points of B_{theta|k}: f_{theta_1}^{-1} o ... o f_{theta_k}^{-1}
-    applied to the cloud."""
-    word = tuple(-d for d in _theta_digits(theta, k))
-    return ifs.apply_word(word, cloud.points)
+    applied to the cloud. Refused when a float cannot hold them: at once
+    when the word's Lipschitz factor overflows, else once a point does."""
+    word = tuple(-d for d in _theta_digits(ifs, theta, k))
+    if ifs.word_lipschitz(word) == np.inf:
+        raise ResolutionError(f"the Lipschitz factor of theta|{k}'s inverse overflows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = ifs.apply_word(word, cloud.points)
+    if not np.isfinite(pts).all():
+        raise ResolutionError(f"the points of B_theta|{k} overflow")
+    return pts
 
 
 # -- rasters -------------------------------------------------------------------
@@ -291,6 +301,7 @@ def membership(
     x,
     depth: int = 8,
     tol: float | None = None,
+    theta=None,
 ) -> MembershipResult:
     """Breadth-first search for the earliest word w with x in f_w^{-1}(A).
 
@@ -298,22 +309,33 @@ def membership(
     witness is canonical. tol must be at least the cloud tolerance tau.
     The decisive test is in source space (distance from x to the pulled
     cloud f_w^{-1}(cloud)); the cheap image-space distance only prunes.
+
+    With theta, level k prepends theta_k alone, so the one word of length
+    k is reversed(theta|k) and its pulled cloud is B_{theta|k}: the search
+    runs over the finite continuations of theta.
     """
     tol = _tolerance(cloud, tol)
-    check_word_tree(ifs.n_maps, depth)
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
+    digits = range(1, ifs.n_maps + 1)
+    if theta is None:
+        check_word_tree(ifs.n_maps, depth)
+        levels = [digits] * depth
+    else:
+        check_word_tree(1, depth)
+        levels = [(d,) for d in _theta_digits(ifs, theta, depth)]
     x = np.asarray(x, dtype=float).reshape(-1)
     d0 = cloud.dist_point(x)
     if d0 <= tol:
         return MembershipResult("yes", (), 0, tol, d0)
-    digits = range(1, ifs.n_maps + 1)
     lips = [ifs.map_lipschitz(n) for n in digits]
     # level k: the words of length k in lexicographic order, the images
     # f_w(x) and the Lipschitz products, extended by f_{(n)+w} = f_n o f_w
     words, ys, lip = [()], x[None, :], np.ones(1)
-    for k in range(1, depth + 1):
-        words = [(n,) + w for n in digits for w in words]
-        ys = ifs.images(ys)
-        lip = np.concatenate([lip * lip_n for lip_n in lips])
+    for k, level in enumerate(levels, start=1):
+        words = [(n,) + w for n in level for w in words]
+        ys = ifs.images(ys) if theta is None else ifs.transform(level[0], ys)
+        lip = np.concatenate([lip * lips[n - 1] for n in level])
         # no cloud point can pull back within tol where f_w(x) is farther
         # than tol * Lip(f_w) from the cloud
         far = cloud.nearest_dist(ys) > tol * np.maximum(lip, 1e-300)
@@ -323,39 +345,6 @@ def membership(
             d = float(np.linalg.norm(pulled - x, axis=1).min())
             if d <= tol:
                 return MembershipResult("yes", word, k, tol, d)
-    return MembershipResult("no_up_to_depth", None, depth, tol, None)
-
-
-def continuation_pullbacks(
-    ifs: IfsSystem, cloud: AttractorCloud, theta, depth: int
-) -> list[np.ndarray]:
-    """Points of B_{theta|k} for k = 0..depth (k=0 is the cloud itself)."""
-    return [finite_continuation(ifs, cloud, theta, k) for k in range(depth + 1)]
-
-
-def membership_along(
-    ifs: IfsSystem,
-    cloud: AttractorCloud,
-    x,
-    theta,
-    depth: int,
-    tol: float | None = None,
-    pullbacks: list[np.ndarray] | None = None,
-) -> MembershipResult:
-    """Membership restricted to prefixes of theta: is x in B_{theta|k}, k <= depth?
-
-    The witness words are the reversed prefixes of theta; tol must be at
-    least the cloud tolerance tau.
-    """
-    tol = _tolerance(cloud, tol)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if pullbacks is None:
-        pullbacks = continuation_pullbacks(ifs, cloud, theta, depth)
-    for k, pts in enumerate(pullbacks):
-        d = float(np.linalg.norm(pts - x, axis=1).min())
-        if d <= tol:
-            witness = tuple(reversed(_theta_digits(theta, k)))
-            return MembershipResult("yes", witness, k, tol, d)
     return MembershipResult("no_up_to_depth", None, depth, tol, None)
 
 
@@ -432,12 +421,7 @@ def basin_inclusion_check(
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     tol = _tolerance(cloud, tol)
-    if theta is None:
-        results = [membership(ifs, cloud, x, depth, tol) for x in samples]
-        return BasinInclusionReport(samples, results, depth, tol)
-    pullbacks = continuation_pullbacks(ifs, cloud, theta, depth)
-    results = [
-        membership_along(ifs, cloud, x, theta, depth, tol, pullbacks=pullbacks)
-        for x in samples
-    ]
-    return BasinInclusionReport(samples, results, depth, tol, str(theta))
+    results = [membership(ifs, cloud, x, depth, tol, theta) for x in samples]
+    return BasinInclusionReport(
+        samples, results, depth, tol, None if theta is None else str(theta)
+    )

@@ -110,9 +110,14 @@ class IfsSystem:
         return self.map_for(digit).lipschitz()
 
     def word_lipschitz(self, word: Word) -> float:
+        """The product of the map bounds along the word, each digit's bound
+        taken once; it stops at inf, which no positive factor undoes."""
+        lips = {d: self.map_lipschitz(d) for d in set(word)}
         out = 1.0
         for d in word:
-            out *= self.map_lipschitz(d)
+            out *= lips[d]
+            if out == np.inf:
+                break
         return out
 
     def lam(self) -> float:

@@ -17,7 +17,6 @@ from fbe.basin import (
     finite_continuation,
     is_reversible_periodic,
     membership,
-    membership_along,
     raster_from_continuations,
 )
 from fbe.errors import DomainError, ResolutionError
@@ -67,6 +66,23 @@ def test_continuation_depth_error(cantor_ifs, cantor_cloud):
 def test_continuation_requires_positive_theta(cantor_ifs, cantor_cloud):
     with pytest.raises(DomainError):
         finite_continuation(cantor_ifs, cantor_cloud, (-1, 2), 2)
+
+
+def test_continuation_overflow_refused(
+    interval_ifs, interval_cloud, koch_ifs, koch_cloud
+):
+    theta = A("(1)*")
+    # Lip(f_1^-1)^k = 2^k is a float up to k = 1023, and so are the points
+    pts = finite_continuation(interval_ifs, interval_cloud, theta, 1023)
+    assert np.isfinite(pts).all()
+    # past it the factor alone refuses, before any point is transformed
+    with _time_limit(1.0):
+        for k in (1024, 200_000):
+            with pytest.raises(ResolutionError, match="Lipschitz factor"):
+                finite_continuation(interval_ifs, interval_cloud, theta, k)
+    # koch's factor is still a float at k = 1292, its points are not
+    with pytest.raises(ResolutionError, match="points"):
+        finite_continuation(koch_ifs, koch_cloud, theta, 1292)
 
 
 def test_continuation_nesting(interval_ifs, interval_cloud, rng):
@@ -344,15 +360,41 @@ def test_membership_tol_below_tau(cantor_ifs, cantor_cloud):
 
 def test_membership_word_bound(cantor_ifs, cantor_cloud):
     # refused on the word count, even for a point of the cloud itself
+    x = cantor_cloud.points[0]
     with _time_limit(1.0), pytest.raises(ResolutionError):
-        membership(cantor_ifs, cantor_cloud, cantor_cloud.points[0], depth=40)
+        membership(cantor_ifs, cantor_cloud, x, depth=40)
+    # the theta route walks one word per level: depth + 1 words
+    theta = A("(1.2)*")
+    res = membership(cantor_ifs, cantor_cloud, [0.5], depth=40, theta=theta)
+    assert res.reached and res.depth_searched <= 40
+    with _time_limit(1.0), pytest.raises(ResolutionError):
+        membership(cantor_ifs, cantor_cloud, x, depth=1 << 16, theta=theta)
 
 
-def test_membership_along_tol_below_tau(interval_ifs, interval_cloud):
+def test_membership_negative_depth(interval_ifs, interval_cloud):
+    x = interval_cloud.points[0]
+    for theta in (None, A("(1.2)*")):
+        with pytest.raises(DomainError, match="depth must be >= 0"):
+            membership(interval_ifs, interval_cloud, x, depth=-2, theta=theta)
+        with pytest.raises(DomainError, match="depth must be >= 0"):
+            basin_inclusion_check(
+                interval_ifs, interval_cloud, [x], depth=-3, theta=theta
+            )
+
+
+def test_membership_theta_refusals(interval_ifs, interval_cloud):
+    # refused up front, even for a point the empty word already reaches
+    x = interval_cloud.points[0]
+    for theta, depth in (((1, 3), 2), ((1, -2), 2), ((1, 2), 3), (A("1.2"), 3)):
+        with pytest.raises(DomainError):
+            membership(interval_ifs, interval_cloud, x, depth=depth, theta=theta)
+
+
+def test_membership_theta_tol_below_tau(interval_ifs, interval_cloud):
     # the continuation route has the floor of the full search
     theta, tol = A("(1.2)*"), interval_cloud.tau / 10
     with pytest.raises(ResolutionError):
-        membership_along(interval_ifs, interval_cloud, [3.9], theta, depth=2, tol=tol)
+        membership(interval_ifs, interval_cloud, [3.9], depth=2, tol=tol, theta=theta)
     with pytest.raises(ResolutionError):
         basin_inclusion_check(
             interval_ifs, interval_cloud, [[3.9]], depth=2, tol=tol, theta=theta
@@ -450,16 +492,16 @@ def test_inclusion_sample_in_attractor(cantor_ifs, cantor_cloud):
     assert all(r.witness == () for r in rep.results)
 
 
-def test_membership_along_route(interval_ifs, interval_cloud):
-    res = membership_along(
-        interval_ifs, interval_cloud, [3.9], A("(1.2)*"), depth=12, tol=0.01
+def test_membership_theta_route(interval_ifs, interval_cloud):
+    res = membership(
+        interval_ifs, interval_cloud, [3.9], depth=12, tol=0.01, theta=A("(1.2)*")
     )
     assert res.reached
     k = res.depth_searched
     assert res.witness == tuple(reversed(A("(1.2)*").prefix(k)))
     # B_{(1.2)*|k} for k <= 2 lies in [-2, 2]
-    res = membership_along(
-        interval_ifs, interval_cloud, [3.9], A("(1.2)*"), depth=2, tol=0.01
+    res = membership(
+        interval_ifs, interval_cloud, [3.9], depth=2, tol=0.01, theta=A("(1.2)*")
     )
     assert (res.status, res.witness, res.depth_searched) == ("no_up_to_depth", None, 2)
 
@@ -478,3 +520,56 @@ def test_membership_on_sphere():
     off_circle = np.array([0.0, 0.0, -1.0])  # z = 0, far from the basin circle
     res2 = membership(ifs, cloud, off_circle, depth=3, tol=cloud.tau)
     assert res2.status == "no_up_to_depth"
+
+
+@pytest.fixture(scope="module")
+def mobius_arc_system():
+    ifs = systems.mobius_arc()
+    return ifs, attractor(ifs, 2e-3)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_membership_theta_matches_continuation_scan(
+    cantor_ifs,
+    cantor_cloud,
+    interval_ifs,
+    interval_cloud,
+    sierpinski_ifs,
+    sierpinski_cloud,
+    mobius_arc_system,
+    data,
+):
+    # the oracle: the least k <= depth whose B_{theta|k} lies within tol of x
+    ifs, cloud = data.draw(
+        st.sampled_from(
+            [
+                (cantor_ifs, cantor_cloud),
+                (interval_ifs, interval_cloud),
+                (sierpinski_ifs, sierpinski_cloud),
+                mobius_arc_system,
+            ]
+        )
+    )
+    depth = data.draw(st.integers(0, 7))
+    n_digits = data.draw(st.integers(depth, depth + 2))
+    digit = st.integers(1, ifs.n_maps)
+    theta = tuple(data.draw(st.lists(digit, min_size=n_digits, max_size=n_digits)))
+    tol = cloud.tau * data.draw(st.sampled_from([1.0, 2.0, 5.0]))
+    # x near a point of some B_{theta|j}, j possibly past the depth
+    j = data.draw(st.integers(0, n_digits))
+    pts = finite_continuation(ifs, cloud, theta, j)
+    x = pts[data.draw(st.integers(0, len(pts) - 1))]
+    x = x + tol * np.array([data.draw(st.floats(-3.0, 3.0)) for _ in x])
+    if ifs.is_sphere:
+        x = x / np.linalg.norm(x)
+    expect = ("no_up_to_depth", None, depth, tol, None)
+    for k in range(depth + 1):
+        pulled = finite_continuation(ifs, cloud, theta, k)
+        d = float(np.linalg.norm(pulled - x, axis=1).min())
+        if d <= tol:
+            expect = ("yes", tuple(reversed(theta[:k])), k, tol, d)
+            break
+    res = membership(ifs, cloud, x, depth, tol, theta=theta)
+    got = (res.status, res.witness, res.depth_searched, res.tolerance, res.distance)
+    assert got == expect

@@ -509,6 +509,11 @@ def test_cli_malformed_value(capsys, argv):
         ["code", "disjunctive", "--n-maps", "0", "--length", "5"],
         ["code", "disjunctive", "--n-maps", "2", "--length", "-1"],
         ["continuation", "--ifs", "interval", "--theta", "(1)*", "--k", "-1"],
+        # continuations a float cannot hold: Lip(f_w^-1) overflows, or a point
+        ["continuation", "--ifs", "interval", "--theta", "(1)*", "--k", "1100"],
+        ["continuation", "--ifs", "interval", "--theta", "(1)*", "--k", "200000"],
+        ["continuation", "--ifs", "koch", "--cell", "0.02", "--theta", "(1)*"]
+        + ["--k", "1292"],
         ["manifold", "branch", "--ifs", "interval", "--depth", "-1"],
         ["manifold", "leaves", "--ifs", "interval", "--depth", "-1"],
         ["manifold", "leaves", "--ifs", "sierpinski", "--depth", "25"],  # word tree
