@@ -60,6 +60,19 @@ def _get_cloud(ifs: IfsSystem, cell: float):
     return cloud
 
 
+def _bbox(lo, hi) -> str:
+    """`bbox=lo..hi` with each coordinate rounded to 6 decimals. Rounding
+    scales by 1e6, which overflows past about 1.8e302; a coordinate that
+    large is an integer, and prints as it is."""
+
+    def rounded(v):
+        with np.errstate(over="ignore"):
+            r = np.round(v, 6)
+        return np.where(np.isfinite(r), r, v).tolist()
+
+    return f"bbox={rounded(lo)}..{rounded(hi)}"
+
+
 def _number(kind, text: str):
     try:
         return kind(text)
@@ -105,10 +118,9 @@ def _cmd_attractor(args) -> int:
         cloud = _get_cloud(ifs, args.cell)
     if args.out:
         io.cache_attractor(ifs, cloud, args.out)
-    lo, hi = cloud.bounding_box()
     print(
         f"attractor: {cloud.points.shape[0]} points, epsilon={cloud.epsilon:.3g}, "
-        f"bbox={np.round(lo, 6).tolist()}..{np.round(hi, 6).tolist()}"
+        + _bbox(*cloud.bounding_box())
     )
     return 0
 
@@ -142,12 +154,9 @@ def _cmd_continuation(args) -> int:
         lip = ifs.word_lipschitz(tuple(-d for d in theta.prefix(args.k)))
         eps = lip * cloud.epsilon
         io.cache_attractor(ifs, AttractorCloud(pts, eps, dict(cloud.meta)), args.out)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
     print(
         f"continuation theta={format_address(theta)} k={args.k}: "
-        f"{pts.shape[0]} points, bbox={np.round(lo, 6).tolist()}.."
-        f"{np.round(hi, 6).tolist()}"
+        f"{pts.shape[0]} points, " + _bbox(pts.min(axis=0), pts.max(axis=0))
     )
     return 0
 
@@ -227,9 +236,11 @@ def _cmd_verify(args) -> int:
     for line in report.lines():
         print(line)
     if args.json:
-        Path(args.json).write_text(
-            json.dumps([dataclasses.asdict(c) for c in report.checks], indent=2)
-        )
+        rows = [dataclasses.asdict(c) for c in report.checks]
+        for row in rows:
+            if np.isnan(row["residual"]):  # strict JSON has no NaN
+                row["residual"] = None
+        Path(args.json).write_text(json.dumps(rows, indent=2, allow_nan=False))
     return 0 if report.passed else 1
 
 

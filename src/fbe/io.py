@@ -115,15 +115,16 @@ def cache_attractor(ifs: IfsSystem, cloud: AttractorCloud, path) -> None:
         fh.writelines(format_rows(" ".join(["%.17g"] * pts.shape[1]) + "\n", pts.T))
 
 
-def load_cached(path, ifs: IfsSystem | None = None) -> AttractorCloud:
-    """Read a cloud cache; with an IfsSystem given, the stored hash must match.
-    A malformed header or body raises SpecFormatError."""
+def load_cached(path, ifs: IfsSystem) -> AttractorCloud:
+    """Read a cloud cache of `ifs`: a stored hash of another system raises
+    StaleCacheError; a malformed header or body, a non-finite row, or an
+    epsilon that is not a finite number >= 0 raises SpecFormatError."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "FBE-CLOUD" or header[1] != "v1":
             raise SpecFormatError(f"{path}: not an FBE-CLOUD v1 file")
         stored_hash = header[2]
-        if ifs is not None and stored_hash != ifs.ifs_hash():
+        if stored_hash != ifs.ifs_hash():
             raise StaleCacheError(
                 f"{path}: cache hash {stored_hash} does not match the spec "
                 f"hash {ifs.ifs_hash()}"
@@ -143,10 +144,14 @@ def load_cached(path, ifs: IfsSystem | None = None) -> AttractorCloud:
             raise SpecFormatError(f"{path}: malformed cloud: {e}") from None
     if pts.shape[0] != count:
         raise SpecFormatError(f"{path}: expected {count} points, found {pts.shape[0]}")
-    if ifs is not None and pts.shape[1] != ifs.dim:
+    if pts.shape[1] != ifs.dim:
         raise SpecFormatError(
             f"{path}: {pts.shape[1]} coordinates per row, not {ifs.dim}"
         )
+    if not np.isfinite(pts).all():
+        raise SpecFormatError(f"{path}: a point row is not finite")
+    if not 0.0 <= eps < np.inf:
+        raise SpecFormatError(f"{path}: epsilon {eps!r} is not a finite number >= 0")
     return AttractorCloud(pts, eps, {"ifs_hash": stored_hash, "method": "cache"})
 
 

@@ -210,9 +210,10 @@ def test_acceptance_04_semiconjugacy(interval_ifs, cantor_ifs, sierpinski_ifs):
         ("cantor", cantor_ifs),
         ("sierpinski", sierpinski_ifs),
     ):
-        rep = verify_semiconjugacy(ifs, n_samples=100, tol=1e-9, rng_seed=31)
-        assert rep.passed, rep.failures[:3]
-        worst[name] = rep.max_residual
+        res = verify_semiconjugacy(ifs, n_samples=100, rng_seed=31)
+        assert res.shape == (100 * 2 * ifs.n_maps,)
+        assert res.max() <= 1e-9, np.sort(res)[-3:]
+        worst[name] = res.max()
     assert max(worst.values()) <= 1e-9
     _report(
         4,

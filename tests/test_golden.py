@@ -7,6 +7,7 @@ there is a platform difference to confirm, not by itself a defect.
 """
 
 import hashlib
+import json
 import warnings
 
 import pytest
@@ -87,6 +88,19 @@ LEVEL_RASTERS = {
     ),
 }  # fmt: skip
 
+# `fbe verify --json` reports with each check's runtime dropped: names,
+# tags, statuses, residuals and tolerances
+VERIFY = {
+    "interval": (
+        ["verify", "--ifs", "interval", "--cell", "0.00390625"],
+        "fe091935834ca400d19466fc32ec5b58339fdf10c5c672d7cf265de9ac2f0b57",
+    ),
+    "sierpinski": (
+        ["verify", "--ifs", "sierpinski", "--cell", "0.015625"],
+        "61b68236011cf91cedfb68b9b256a580e6b0d7b9d610bda6c2cde28c18c3839b",
+    ),
+}  # fmt: skip
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -117,3 +131,14 @@ def test_golden_level_raster(tmp_path, capsys, name):
     pgm, csv = tmp_path / "basin.pgm", tmp_path / "basin.csv"
     _run(argv + ["--out", str(pgm), "--csv", str(csv)])
     assert (_sha256(pgm), _sha256(csv)) == (pgm_digest, csv_digest)
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_golden_verify_report(tmp_path, capsys, name):
+    argv, digest = VERIFY[name]
+    report = tmp_path / "report.json"
+    _run(argv + ["--json", str(report)])
+    checks = json.loads(report.read_text())
+    for c in checks:
+        del c["runtime"]
+    assert hashlib.sha256(json.dumps(checks, indent=2).encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import threading
@@ -7,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fbe.verify
 from fbe import io, systems
+from fbe.addresses import parse_address
+from fbe.basin import finite_continuation
 from fbe.cli import main
 from fbe.errors import NonInvertibleMapError, SpecFormatError, StaleCacheError
 from fbe.ifs import AttractorCloud, attractor, chaos_game
@@ -330,6 +334,28 @@ def test_cli_verify_r4_skips_raster_membership(tmp_path):
     assert set(status.values()) == {"pass"}
 
 
+def test_cli_verify_nan_residual_is_null(tmp_path, monkeypatch):
+    # a NaN residual fails its check and is written as null: strict JSON
+    # has no NaN
+    real = fbe.verify.manifold_distance
+    monkeypatch.setattr(
+        fbe.verify,
+        "manifold_distance",
+        lambda *args: dataclasses.replace(real(*args), d_L=np.nan),
+    )
+    report = tmp_path / "report.json"
+    argv = ["verify", "--ifs", "interval", "--cell", "0.015625", "--json", str(report)]
+    assert main(argv) == 1
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    checks = json.loads(report.read_text(), parse_constant=refuse)
+    nulls = {c["name"] for c in checks if c["residual"] is None}
+    assert nulls == {"manifold-triangle", "same-sheet-isometry", "projection-contraction"}
+    assert all(c["status"] == "fail" for c in checks if c["name"] in nulls)
+
+
 def test_cli_continuation(tmp_path, capsys):
     out = tmp_path / "cont.cloud"
     rc = main(
@@ -353,6 +379,19 @@ def test_cli_continuation(tmp_path, capsys):
     ifs = systems.interval()
     cloud = attractor(ifs, 1e-3)
     assert float(header.split()[3]) == 8 * cloud.epsilon
+
+
+def test_cli_continuation_bbox_past_rounding_range(capsys):
+    # interval's inverse maps double per digit, so at k = 1023 every point
+    # is past 1.8e302, where rounding to 6 decimals would overflow; the
+    # finite points print as they are
+    argv = ["continuation", "--ifs", "interval", "--cell", "0.01"]
+    assert main(argv + ["--theta", "(1)*", "--k", "1023"]) == 0
+    ifs = systems.interval()
+    pts = finite_continuation(ifs, attractor(ifs, 0.01), parse_address("(1)*"), 1023)
+    assert pts.min() > 1.8e302 and np.isfinite(pts).all()
+    bbox = f"bbox={pts.min(axis=0).tolist()}..{pts.max(axis=0).tolist()}"
+    assert capsys.readouterr().out == f"continuation theta=(1)* k=1023: 101 points, {bbox}\n"
 
 
 def test_cli_manifold_branch(capsys):
@@ -535,6 +574,11 @@ _CACHES = {
     "no-rows": lambda h, rows: [" ".join(h)],
     "blank-rows": lambda h, rows: [" ".join(h), "", "  # a comment"],
     "two-columns": lambda h, rows: [" ".join(h), *(f"{r} 0" for r in rows)],
+    "nan-row": lambda h, rows: [" ".join(h), "nan", *rows[1:]],
+    "inf-row": lambda h, rows: [" ".join(h), *rows[:-1], "inf"],
+    "epsilon-negative": lambda h, rows: [" ".join([*h[:3], "-1", h[4]]), *rows],
+    "epsilon-nan": lambda h, rows: [" ".join([*h[:3], "nan", h[4]]), *rows],
+    "epsilon-inf": lambda h, rows: [" ".join([*h[:3], "inf", h[4]]), *rows],
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -380,6 +381,41 @@ def test_verify_coding_fixed_points_sees_solver_error(monkeypatch):
     monkeypatch.setattr(AffineMap, "fixed_point", lambda m: solve(m) + 1e-3)
     check = fixed_point_check()
     assert check.status == "fail" and check.residual > 0
+
+
+def _nan_coding_map(real):
+    return lambda ifs, addr: real(ifs, addr) * np.nan
+
+
+def _nan_d_L(real):
+    return lambda *args: dataclasses.replace(real(*args), d_L=np.nan)
+
+
+# The name each check reads, and a stand-in that makes its values NaN. A
+# NaN must fail: max(0.0, nan) is 0.0, so a running max would drop it.
+# continuation-nesting takes no plant: finite_continuation refuses a
+# non-finite point, and so does cKDTree.
+NAN_PLANTS = {
+    "coding-fixed-points": ("fbe.verify.coding_map", _nan_coding_map(coding_map)),
+    "semiconjugacy": ("fbe.ifs.coding_map", _nan_coding_map(coding_map)),
+    "manifold-triangle": ("fbe.verify.manifold_distance", _nan_d_L(distance)),
+    "same-sheet-isometry": ("fbe.verify.manifold_distance", _nan_d_L(distance)),
+    "projection-contraction": ("fbe.verify.manifold_distance", _nan_d_L(distance)),
+}
+
+
+@pytest.fixture(scope="module")
+def interval_cloud_coarse():
+    return attractor(systems.interval(), 2.0**-6)
+
+
+@pytest.mark.parametrize("name", sorted(NAN_PLANTS))
+def test_verify_check_fails_on_nan(name, interval_cloud_coarse, monkeypatch):
+    target, stand_in = NAN_PLANTS[name]
+    monkeypatch.setattr(target, stand_in)
+    report = run_verify(systems.interval(), interval_cloud_coarse, cell=2.0**-6)
+    check = next(c for c in report.checks if c.name == name)
+    assert check.status == "fail" and np.isnan(check.residual)
 
 
 # -- leaf index ---------------------------------------------------------------------
