@@ -261,14 +261,108 @@ def check_word_tree(n_maps: int, depth: int) -> None:
         level *= n_maps
 
 
-def _snapped_step(ifs: IfsSystem, pts: np.ndarray, cell: float) -> np.ndarray:
-    """S(X) = grid_dedup(F(X), cell), refused past MAX_IMAGE_POINTS images."""
-    rows = ifs.n_maps * pts.shape[0]
-    if rows > MAX_IMAGE_POINTS:
-        raise ResolutionError(
-            f"a step would make {rows} points, cap {MAX_IMAGE_POINTS}, cell {cell:g}"
-        )
-    return grid_dedup(ifs.images(pts), cell)
+class _RowKeys:
+    """One-to-one between int64 rows within [lo, hi] and 1-D keys that sort
+    and compare as the rows do, first column first. When the column ranges
+    fit in 63 bits a key is one int64, each column shifted to 0 and given
+    its bits; otherwise it is the row's big-endian bytes with the sign bits
+    flipped, one bytes item that numpy compares byte by byte, and [lo, hi]
+    widens to every int64 row."""
+
+    _SIGN = np.uint64(1 << 63)
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        widths = [(int(h) - int(l)).bit_length() for l, h in zip(lo, hi)]
+        self.packed = sum(widths) <= 63
+        if not self.packed:
+            info = np.iinfo(np.int64)
+            lo, hi = np.full_like(lo, info.min), np.full_like(hi, info.max)
+        self.lo, self.hi = lo, hi
+        self.shifts = [sum(widths[j + 1 :]) for j in range(len(lo))]
+        self.masks = [(1 << w) - 1 for w in widths]
+
+    def covers(self, rows: np.ndarray) -> bool:
+        return bool((rows >= self.lo).all() and (rows <= self.hi).all())
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        if not self.packed:
+            flipped = (rows.view(np.uint64) ^ self._SIGN).astype(">u8")
+            return flipped.view(f"S{8 * len(self.lo)}").ravel()
+        key = np.zeros(len(rows), dtype=np.int64)
+        for j, s in enumerate(self.shifts):
+            key |= (rows[:, j] - self.lo[j]) << s
+        return key
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        if not self.packed:
+            flipped = keys.view(">u8").reshape(len(keys), len(self.lo))
+            return (flipped.astype(np.uint64) ^ self._SIGN).view(np.int64)
+        rows = np.empty((len(keys), len(self.lo)), dtype=np.int64)
+        for j, (s, m) in enumerate(zip(self.shifts, self.masks)):
+            rows[:, j] = ((keys >> s) & m) + self.lo[j]
+        return rows
+
+
+def _hutchinson_sets(ifs: IfsSystem, start: np.ndarray, cell: float):
+    """Yield X_1, X_2, ... with X_{t+1} = S(X_t) = grid_dedup(F(X_t), cell)
+    and X_0 = grid_dedup(start, cell), each with the number of cells it
+    added and removed; refuse a step past MAX_IMAGE_POINTS images.
+
+    `table` holds X_t as the sorted `_RowKeys` keys of its int64 cell rows,
+    and `counts` for each cell the number of pairs (x, i), x in X_{t-1},
+    with f_i(x) in it, so X_t is the cells with a count above 0. A step
+    transforms the cells the previous step added (their images count +1)
+    and removed (-1), and merges the summed signs into the table with one
+    sorted search. When those cells are at least as many as X_t, as for
+    X_0, the step counts all of X_t afresh from zero instead: the same
+    merge, with fewer images.
+    """
+    idx = np.floor(start / cell).astype(np.int64)
+    keys = _RowKeys(idx.min(axis=0), idx.max(axis=0))
+    table = np.unique(keys.pack(idx))
+    moved = keys.unpack(table)
+    while True:
+        rows = ifs.n_maps * len(table)
+        if rows > MAX_IMAGE_POINTS:
+            raise ResolutionError(
+                f"a step would make {rows} points, cap {MAX_IMAGE_POINTS}, cell {cell:g}"
+            )
+        if len(moved) >= len(table):
+            moved, signs = keys.unpack(table), np.ones(len(table), dtype=np.int64)
+            counts = np.zeros(len(table), dtype=np.int64)
+        if len(moved) == 1:
+            # AffineMap may round a one-row batch apart from a larger one
+            moved, signs = np.repeat(moved, 2, axis=0), np.append(signs, 0)
+        idx = np.floor(ifs.images((moved + 0.5) * cell) / cell).astype(np.int64)
+        weights = np.tile(signs, ifs.n_maps)
+        if not keys.covers(idx):
+            cells = keys.unpack(table)
+            lo = np.minimum(keys.lo, idx.min(axis=0))
+            keys = _RowKeys(lo, np.maximum(keys.hi, idx.max(axis=0)))
+            table = keys.pack(cells)
+        # the signs summed per cell, then merged into the table; the images'
+        # temporaries are freed once read, so that none outlives the step
+        key = keys.pack(idx)
+        del idx
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        first = np.flatnonzero(first)
+        wanted, sums = key[first], np.add.reduceat(weights[order], first)
+        del key, order, first, weights
+        wanted, sums = wanted[sums != 0], sums[sums != 0]
+        at = np.searchsorted(table, wanted)
+        old = at < len(table)
+        old[old] = table[at[old]] == wanted[old]
+        counts[at[old]] += sums[old]
+        gone, new = np.flatnonzero(counts == 0), ~old
+        moved = keys.unpack(np.concatenate([wanted[new], table[gone]]))
+        signs = np.repeat(np.array([1, -1], dtype=np.int64), [new.sum(), len(gone)])
+        at = at[new] - np.searchsorted(gone, at[new])
+        table = np.insert(np.delete(table, gone), at, wanted[new])
+        counts = np.insert(np.delete(counts, gone), at, sums[new])
+        yield (keys.unpack(table) + 0.5) * cell, len(moved)
 
 
 def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
@@ -281,17 +375,39 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
     confirmed by exact comparison. Snapping moves a point by at most
     delta = cell*sqrt(d)/2 <= cell (d <= 4), so with Lip(F) <= lam,
     H(U, A) <= H(S(U), F(U)) + H(F(U), F(A)) <= delta + lam * H(U, A)
-    and epsilon = cell/(1 - lam) bounds H(U, A). Raises DomainError for a
-    cell that is not a finite positive number and for a map with no
-    attracting fixed point, NoConvergenceError, carrying H(last, previous),
-    if no set repeats within MAX_STEPS steps, and ResolutionError if a step
-    would make more than MAX_IMAGE_POINTS points.
+    and epsilon = cell/(1 - lam) bounds H(U, A).
+
+    Each step is semi-naive (Bancilhon & Ramakrishnan 1986): for each cell
+    of S(X_t) it keeps the number n_t(c) of pairs (x, i), x in X_t, with
+    f_i(x) in c. As X_{t+1} = X_t + A - R for the cells A added and R
+    removed, n_{t+1} = n_t + (pairs from A) - (pairs from R), so the step
+    transforms only A and R (or all of X_{t+1}, counted afresh, when A and
+    R are as many), and X_{t+2} is the cells with n_{t+1} > 0.
+    The sets are the full iteration's as long as each image is the full
+    step's float. A point's image is the same in any batch of two or more
+    rows, and a lone row, which AffineMap can round apart, goes in as a
+    batch of two; the tests compare every set and byte with the full
+    iteration's. meta["changed"] records |A| + |R| per step.
+
+    Raises DomainError for a cell that is not a finite positive number and
+    for a map with no attracting fixed point, NoConvergenceError, carrying
+    H(last, previous), if no set repeats within MAX_STEPS steps, and
+    ResolutionError if a step would make more than MAX_IMAGE_POINTS points.
     """
     if not 0.0 < cell < np.inf:
         raise DomainError(f"cell must be a finite positive number, got {cell!r}")
-    pts = grid_dedup(ifs.fixed_points(), cell)
+    start = ifs.fixed_points()
+    pts = grid_dedup(start, cell)
+    orbit = _hutchinson_sets(ifs, start, cell)
     seen: dict[bytes, int] = {}
-    prev, sizes = None, []
+    prev, sizes, changed = None, [], []
+
+    def step() -> np.ndarray:
+        nxt, moved = next(orbit)
+        sizes.append(len(nxt))
+        changed.append(moved)
+        return nxt
+
     while True:
         steps = len(sizes)
         period = steps - seen.setdefault(hashlib.sha256(pts).digest(), steps)
@@ -300,8 +416,7 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
         if period > 1:
             cycle = [pts]
             for _ in range(period):
-                cycle.append(_snapped_step(ifs, cycle[-1], cell))
-                sizes.append(len(cycle[-1]))
+                cycle.append(step())
             prev, pts = cycle[-2:]
             if np.array_equal(pts, cycle[0]):
                 pts = grid_dedup(np.concatenate(cycle[:-1]), cell)
@@ -314,14 +429,14 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
             )
         else:
             prev = pts  # the older set is freed before the step, not after it
-            pts = _snapped_step(ifs, prev, cell)
-            sizes.append(len(pts))
+            pts = step()
     meta = {
         "method": "hutchinson",
         "depth": len(sizes),
         "cell": cell,
         "cycle": period,
         "sizes": sizes,
+        "changed": changed,
     }
     return _resolved_cloud(ifs, pts, cell, meta)
 
@@ -346,7 +461,9 @@ def _orbit_residual(
     n = out.shape[0]
     twins = (digits - 1) * n + np.arange(n - 1)
     u = np.linalg.norm(out[1:] - imgs[twins], axis=1)
-    tree = cKDTree(out)
+    # an unbalanced tree without shrunk node boxes builds faster, and a
+    # query is exact on any tree shape, so every distance keeps its bits
+    tree = cKDTree(out, balanced_tree=False, compact_nodes=False)
     # map by map, so that no copy of two thirds of imgs is made at once
     nxt = np.append(digits, 0)  # the images of out[n - 1] have no twin
     h, first = 0.0, 0
@@ -359,7 +476,8 @@ def _orbit_residual(
         h = max(h, tree.query(imgs[far], workers=-1)[0].max())
     del tree, twins  # freed before the second tree is built
     rows = np.concatenate([[0], np.flatnonzero(~(u <= h / 2)) + 1])
-    d = cKDTree(imgs).query(out[rows], workers=-1)[0].max()
+    tree = cKDTree(imgs, balanced_tree=False, compact_nodes=False)
+    d = tree.query(out[rows], workers=-1)[0].max()
     return float(max(h, d)), [first + far.size, rows.size]
 
 

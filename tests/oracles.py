@@ -4,18 +4,23 @@ Everything here is written against the defining digit structure of the
 example systems (ternary digits for the middle-thirds set, dyadic
 intervals for the binary interval system) and never calls the library's
 own geometry kernels, so tolerance artifacts in the implementation
-cannot silently pass. The one exception, `chordal_distance`, measures
-through the library's sphere embedding on purpose: tests check that
-embedding against the closed-form chordal metric.
+cannot silently pass. Two exceptions use the library on purpose:
+`chordal_distance` measures through its sphere embedding, which tests
+check against the closed-form chordal metric, and `full_iteration`
+steps with its maps and `grid_dedup`, since it checks how `attractor`
+iterates, not the maps or the snapping.
 """
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
+import fbe.ifs
+from fbe.errors import NoConvergenceError, ResolutionError
 from fbe.maps import to_sphere
 
 Q = Fraction
@@ -230,3 +235,63 @@ def orbit_limit(ifs, addr, reps: int) -> np.ndarray:
     for k in reversed(addr.pre):
         x = step(k, x)
     return to_sphere(np.array([x]))[0] if ifs.is_sphere else x
+
+
+def _snapped_step(ifs, pts: np.ndarray, cell: float) -> np.ndarray:
+    """S(X) = grid_dedup(F(X), cell), refused past MAX_IMAGE_POINTS images."""
+    rows = ifs.n_maps * pts.shape[0]
+    if rows > fbe.ifs.MAX_IMAGE_POINTS:
+        raise ResolutionError(
+            f"a step would make {rows} points, cap {fbe.ifs.MAX_IMAGE_POINTS}, "
+            f"cell {cell:g}"
+        )
+    return fbe.ifs.grid_dedup(ifs.images(pts), cell)
+
+
+def full_iteration(ifs, cell: float):
+    """The Hutchinson iteration with full steps, the reference for
+    `fbe.ifs.attractor`'s delta steps: the same seed, stop rule, cycle
+    union, refusals and meta, with each step S(X) made from all of F(X)
+    and meta["changed"] counted from the union of successive sets."""
+    pts = fbe.ifs.grid_dedup(ifs.fixed_points(), cell)
+    seen: dict[bytes, int] = {}
+    prev, sizes, changed = None, [], []
+
+    def step(x):
+        nxt = _snapped_step(ifs, x, cell)
+        sizes.append(len(nxt))
+        # |X' - X| + |X - X'| = 2 |X' + X| - |X'| - |X|
+        union = fbe.ifs.grid_dedup(np.concatenate([nxt, x]), cell)
+        changed.append(2 * len(union) - len(nxt) - len(x))
+        return nxt
+
+    while True:
+        steps = len(sizes)
+        period = steps - seen.setdefault(hashlib.sha256(pts).digest(), steps)
+        if period == 1 and np.array_equal(pts, prev):
+            break
+        if period > 1:
+            cycle = [pts]
+            for _ in range(period):
+                cycle.append(step(cycle[-1]))
+            prev, pts = cycle[-2:]
+            if np.array_equal(pts, cycle[0]):
+                pts = fbe.ifs.grid_dedup(np.concatenate(cycle[:-1]), cell)
+                break
+        elif steps == fbe.ifs.MAX_STEPS:
+            residual = np.inf if prev is None else fbe.ifs.hausdorff_distance(pts, prev)
+            raise NoConvergenceError(
+                f"no repeated set after {steps} iterations (residual {residual:.3g})",
+                residual=residual,
+            )
+        else:
+            prev, pts = pts, step(pts)
+    meta = {
+        "method": "hutchinson",
+        "depth": len(sizes),
+        "cell": cell,
+        "cycle": period,
+        "sizes": sizes,
+        "changed": changed,
+    }
+    return fbe.ifs._resolved_cloud(ifs, pts, cell, meta)

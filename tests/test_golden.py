@@ -27,6 +27,16 @@ GOLDEN = {
         ["attractor", "--ifs", "projective_line", "--cell", "0.015625"],
         "80b4809f00689ebca342e3e395581b5ab7080f48bf1116045a570d1079b8c7a6",
     ),
+    # the union of a 2-cycle of sets
+    "koch.cloud": (
+        ["attractor", "--ifs", "koch", "--cell", "0.00390625"],
+        "ff8e997c55da55ac6e985b5a2f8a7bc6b83b2cc89d73e5b8bcd95487245cdc2b",
+    ),
+    # 4-D cell rows
+    "quadratic_graph.cloud": (
+        ["attractor", "--ifs", "quadratic_graph", "--cell", "0.0625"],
+        "bcf2817cd48ceb976ff529d9bc5c898524c486440bcf2279cb25dac2c6f79bff",
+    ),
     "chaos-sierpinski.cloud": (
         ["attractor", "--ifs", "sierpinski", "--chaos", "2000", "--seed", "1"],
         "9e8d38081d7402214dac01d7a8c527cbb2dc3b6580799891173317fc0a257e14",

@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import fbe.ifs
 from fbe import systems
 from fbe.addresses import Address, parse_address
-from fbe.errors import DomainError, NoConvergenceError, ResolutionError
+from fbe.errors import DomainError, FbeError, NoConvergenceError, ResolutionError
 from fbe.ifs import (
     IfsSystem,
     attractor,
@@ -21,7 +23,7 @@ from fbe.ifs import (
 from fbe.maps import AffineMap, MoebiusMap, from_sphere, to_sphere
 
 from conftest import _time_limit
-from oracles import cantor_level_points, orbit_limit
+from oracles import cantor_level_points, full_iteration, orbit_limit
 
 A = parse_address
 
@@ -117,11 +119,14 @@ def test_attractor_no_convergence(cantor_ifs, monkeypatch):
     assert 0.0 < ei.value.residual < np.inf
 
 
+# each built-in's cell in the tests below, 2^-7 unless named
+FIXED_POINT_CELLS = {"cantor": 3.0**-8, "triangle": 2.0**-6, "quadratic_graph": 1 / 16}
+
+
 @pytest.mark.parametrize("name", sorted(systems.SYSTEMS))
 def test_attractor_is_exact_fixed_point(name):
     # S(U) = grid_dedup(F(U), cell) returns the cloud bit for bit
-    cell = {"cantor": 3.0**-8, "triangle": 2.0**-6, "quadratic_graph": 1 / 16}
-    cell = cell.get(name, 2.0**-7)
+    cell = FIXED_POINT_CELLS.get(name, 2.0**-7)
     ifs = systems.by_name(name)
     cloud = attractor(ifs, cell)
     imgs = np.concatenate(
@@ -130,6 +135,82 @@ def test_attractor_is_exact_fixed_point(name):
     again = grid_dedup(imgs, cell)
     assert again.shape == cloud.points.shape
     assert again.tobytes() == cloud.points.tobytes()
+
+
+def _outcome(build, ifs, cell):
+    """The cloud's bytes, epsilon and meta, or the typed error raised."""
+    try:
+        cloud = build(ifs, cell)
+    except FbeError as e:
+        return type(e), str(e)
+    return cloud.points.tobytes(), cloud.epsilon, cloud.meta
+
+
+@pytest.mark.parametrize("coarser", [1, 2])
+@pytest.mark.parametrize("name", sorted(systems.SYSTEMS))
+def test_attractor_equals_full_iteration(name, coarser):
+    # the delta steps make the full steps' sets: the same points, epsilon,
+    # sizes, depth and cycle, and "changed" is each step's symmetric difference
+    cell = coarser * FIXED_POINT_CELLS.get(name, 2.0**-7)
+    ifs = systems.by_name(name)
+    assert _outcome(attractor, ifs, cell) == _outcome(full_iteration, ifs, cell)
+
+
+def test_attractor_transforms_no_one_row_batch(monkeypatch):
+    # AffineMap can round a one-row batch apart from a larger one, and
+    # interpolation at 2^-9 ends in a run of one-cell steps
+    batches, call = [], AffineMap.__call__
+    monkeypatch.setattr(
+        AffineMap, "__call__", lambda m, pts: batches.append(len(pts)) or call(m, pts)
+    )
+    ifs = systems.interpolation()
+    assert attractor(ifs, 2.0**-9).meta["changed"][-6:] == [1, 1, 1, 1, 1, 0]
+    assert min(batches) == 2
+    assert _outcome(attractor, ifs, 2.0**-9) == _outcome(full_iteration, ifs, 2.0**-9)
+
+
+def test_attractor_wide_cell_range_equals_full_iteration():
+    # cell rows 2^45 apart in both columns pass 63 bits, so the delta steps
+    # compare rows as big-endian bytes instead of packed int64 keys
+    far = 2.0**45
+    ifs = IfsSystem(
+        "R2",
+        tuple(
+            AffineMap(np.array([[1e-4, 2e-5], [0.0, 1e-4]]), np.array(b))
+            for b in ([-far, 3.0], [far, -far], [0.5, far / 3])
+        ),
+    )
+    assert _outcome(attractor, ifs, 1.0) == _outcome(full_iteration, ifs, 1.0)
+    assert attractor(ifs, 1.0).meta["sizes"] == [9, 27, 81, 82, 82]
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+@st.composite
+def _contractive_affine(draw):
+    """R1 or R2, 2 to 4 invertible maps with sigma_max <= 0.7: rotation,
+    signed singular values in [0.05, 0.7], rotation, and an offset."""
+    dim = draw(st.sampled_from([1, 2]))
+    scale = st.floats(0.05, 0.7).flatmap(lambda s: st.sampled_from([s, -s]))
+    angle = st.floats(0.0, 2 * np.pi)
+    maps = []
+    for _ in range(draw(st.integers(2, 4))):
+        if dim == 1:
+            mat = np.array([[draw(scale)]])
+        else:
+            u, v = (_rotation(draw(angle)) for _ in range(2))
+            mat = u @ np.diag([draw(scale), draw(scale)]) @ v
+        offset = np.array([draw(st.floats(-0.5, 0.5)) for _ in range(dim)])
+        maps.append(AffineMap(mat, offset))
+    return IfsSystem(f"R{dim}", tuple(maps))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ifs=_contractive_affine())
+def test_attractor_equals_full_iteration_on_random_systems(ifs):
+    assert _outcome(attractor, ifs, 2.0**-6) == _outcome(full_iteration, ifs, 2.0**-6)
 
 
 def _dedup_cases():
@@ -180,8 +261,12 @@ def test_attractor_refuses_runaway_growth(monkeypatch):
         AffineMap(np.array([[0.5, 0.0], [4.0, 0.5]]), np.array([0.0, 1.0])),
     ]
     ifs = IfsSystem("R2", tuple(shears))
-    with _time_limit(1.0), pytest.raises(ResolutionError, match="10000"):
+    with _time_limit(1.0), pytest.raises(ResolutionError, match="10000") as ei:
         attractor(ifs, 1e-3)
+    # refused at the full iteration's step, with its message
+    with pytest.raises(ResolutionError) as ref:
+        full_iteration(ifs, 1e-3)
+    assert str(ei.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("n_maps", [1, 2, 3, 4])
