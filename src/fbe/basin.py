@@ -104,10 +104,10 @@ class Raster:
         return "ix,iy,depth\n" + "".join(rows)
 
 
-def _normalize_region(region) -> tuple[np.ndarray, np.ndarray]:
+def _normalize_region(region, rdim: int) -> tuple[np.ndarray, np.ndarray]:
     region = np.array(region, dtype=float)  # a copy: lo and hi are its views
-    if region.shape not in ((2,), (4,)):
-        raise DomainError("region must be (x0,x1) or (x0,y0,x1,y1)")
+    if region.shape != (2 * rdim,):
+        raise DomainError("region must be (x0,x1) on R1, else (x0,y0,x1,y1)")
     lo, hi = np.split(region, 2)
     if not (np.isfinite(region).all() and np.all(lo < hi)):
         raise DomainError("region must be finite with positive extent")
@@ -115,7 +115,7 @@ def _normalize_region(region) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _raster_coords(ifs: IfsSystem, pts: np.ndarray) -> np.ndarray:
-    """Project ambient points to raster coordinates.
+    """Project ambient points to raster coordinates, min(ifs.dim, 2) of them.
 
     R1/R2 points pass through; the sphere projects to the complex plane
     (points at infinity are dropped); higher-dimensional affine spaces
@@ -126,9 +126,7 @@ def _raster_coords(ifs: IfsSystem, pts: np.ndarray) -> np.ndarray:
         finite = np.isfinite(z.real) & np.isfinite(z.imag)
         z = z[finite]
         return np.stack([z.real, z.imag], axis=1)
-    if ifs.dim > 2:
-        return pts[:, :2]
-    return pts
+    return pts[:, :2]
 
 
 class _RasterGrid:
@@ -210,15 +208,16 @@ def _raster_grid(
     tau: float | None,
 ) -> _RasterGrid:
     """The empty grid of a raster builder, after the checks both builders share."""
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
     check_word_tree(ifs.n_maps, depth)
     if nx < 1 or ny < 1:
         raise DomainError(f"grid sizes must be >= 1, got {nx} x {ny}")
     if (nx + 1) * (ny + 1) > np.iinfo(np.int32).max:
         # the corner indices of _RasterGrid.mark are int32
         raise DomainError(f"grid {nx} x {ny} is too large for int32 cell indices")
-    lo, hi = _normalize_region(region)
+    rdim = min(ifs.dim, 2)  # as _raster_coords projects
+    if rdim == 1 and ny != 1:
+        raise DomainError(f"an R1 raster has one row, not {ny}")
+    lo, hi = _normalize_region(region, rdim)
     tau = _tolerance(cloud, tau)
     grid = _RasterGrid(lo, hi, nx, ny, tau)
     if grid.widths.min() < tau:
@@ -315,8 +314,6 @@ def membership(
     runs over the finite continuations of theta.
     """
     tol = _tolerance(cloud, tol)
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
     digits = range(1, ifs.n_maps + 1)
     if theta is None:
         check_word_tree(ifs.n_maps, depth)

@@ -109,10 +109,10 @@ def _cmd_attractor(args) -> int:
     orbit = {
         k: v for k, v in (("burn_in", args.burn_in), ("rng_seed", args.seed)) if v is not None
     }
-    if orbit and not args.chaos:
+    if orbit and args.chaos is None:
         raise FbeError("--burn-in and --seed apply only to a --chaos cloud")
     ifs = _resolve_ifs(args.ifs)
-    if args.chaos:
+    if args.chaos is not None:
         cloud = chaos_game(ifs, args.chaos, **orbit)
     else:
         cloud = _get_cloud(ifs, args.cell)
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attractor", help="compute and cache an attractor cloud")
     add_common(p, "; refused with --chaos, whose cloud has no grid")
-    p.add_argument("--chaos", type=int, default=0, help="use a chaos-game orbit of N points")
+    p.add_argument("--chaos", type=int, help="use a chaos-game orbit of N points")
     p.add_argument("--burn-in", type=int, help="orbit steps dropped first (--chaos only)")
     p.add_argument("--seed", type=int, help="orbit seed (--chaos only)")
     p.add_argument("--out")
@@ -291,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fastbasin", help="raster the fast basin")
     add_common(p)
-    p.add_argument("--region", required=True, help="x0,x1 or x0,y0,x1,y1")
-    p.add_argument("--grid", required=True, help="NX or NX,NY")
+    p.add_argument("--region", required=True, help="x0,x1 on R1, else x0,y0,x1,y1")
+    p.add_argument("--grid", required=True, help="NX or NX,NY (one row on R1)")
     p.add_argument("--depth", type=int, default=3)
     p.add_argument(
         "--tol",
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "chaos", 0) and args.cell is not None:
+        if getattr(args, "chaos", None) is not None and args.cell is not None:
             raise FbeError("--cell does not apply to a --chaos cloud")
         if "cell" in vars(args) and args.cell is None:
             args.cell = _default_cell(args.ifs)

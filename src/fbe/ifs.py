@@ -249,8 +249,10 @@ MAX_STEPS = 200
 
 def check_word_tree(n_maps: int, depth: int) -> None:
     """Refuse a walk over the sum_{k <= depth} n_maps^k words of length
-    <= depth when they number more than MAX_WORDS; counted level by level,
-    so a huge depth stops early."""
+    <= depth when depth is negative or they number more than MAX_WORDS;
+    counted level by level, so a huge depth stops early."""
+    if depth < 0:
+        raise DomainError("depth must be >= 0")
     words, level = 0, 1
     for _ in range(depth + 1):
         words += level
@@ -315,7 +317,8 @@ def _hutchinson_sets(ifs: IfsSystem, start: np.ndarray, cell: float):
     and removed (-1), and merges the summed signs into the table with one
     sorted search. When those cells are at least as many as X_t, as for
     X_0, the step counts all of X_t afresh from zero instead: the same
-    merge, with fewer images.
+    merge, with fewer images. That also holds a step's images to
+    n_maps * |X_t|, the count the MAX_IMAGE_POINTS check reads.
     """
     idx = np.floor(start / cell).astype(np.int64)
     keys = _RowKeys(idx.min(axis=0), idx.max(axis=0))

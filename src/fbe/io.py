@@ -161,10 +161,12 @@ def cache_dir() -> Path | None:
 
 
 def cached_attractor_path(ifs: IfsSystem, cell: float) -> Path | None:
+    """The cache file of the system's cloud at this exact cell: repr
+    round-trips the float, so two cells share a file only when equal."""
     d = cache_dir()
     if d is None:
         return None
-    return d / f"{ifs.ifs_hash()}-{cell:.8g}.cloud"
+    return d / f"{ifs.ifs_hash()}-{float(cell)!r}.cloud"
 
 
 # -- raster files -----------------------------------------------------------------

@@ -199,8 +199,6 @@ def sigma_tilde(
 
 def enumerate_leaves(n_maps: int, depth: int) -> list[Word]:
     """All integer parts up to the given length, length-then-lex order."""
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
     check_word_tree(n_maps, depth)
     digits = [-i for i in range(1, n_maps + 1)]
     out: list[Word] = [()]
@@ -287,9 +285,10 @@ def branch_points(
     Candidates are the gluing points of consecutive leaf closures along
     each map's own inverse-iterate chain (the overline(-j) panicles);
     the incidence count is the number of chain-compatible leaf closures
-    within 2*tau of the point. Points with fewer than two incident leaves
-    are dropped. Systems whose first-level images are separated (empty
-    gluing sets) have no branch points.
+    within 2*tau of the point. A candidate with fewer than two incident
+    leaves, or within 2*tau of a point already kept, is dropped. Systems
+    whose first-level images are separated (empty gluing sets) have no
+    branch points.
     """
     tol = 2 * cloud.tau
     leaves = enumerate_leaves(ifs.n_maps, depth)  # refuses depth < 0
@@ -299,17 +298,14 @@ def branch_points(
     if all(not g for g in glue.values()):
         return []
 
-    closure_clouds = {}
-    for phi in leaves:
-        if not phi:
-            closure_clouds[phi] = cloud.points
-            continue
+    # leaves[0] is (), whose closure is the cloud
+    closure_trees = {(): cKDTree(cloud.points)}
+    for phi in leaves[1:]:
         i = -phi[-1]
         base = np.vstack([cloud.points[_leaf_index(ifs, cloud, i)[1]], *glue[i]])
-        closure_clouds[phi] = ifs.apply_word(phi, base)
-    closure_trees = {phi: cKDTree(pts) for phi, pts in closure_clouds.items()}
+        closure_trees[phi] = cKDTree(ifs.apply_word(phi, base))
 
-    found: list[tuple[np.ndarray, Word, np.ndarray, int]] = []
+    results: list[tuple[ManifoldPoint, int]] = []
     for j in range(1, ifs.n_maps + 1):
         for g in glue[j]:
             # the unwinding f_j^-m(g), m = 0..depth, one map at a time
@@ -319,6 +315,8 @@ def branch_points(
             on_cloud = [cloud.dist_point(u) <= cloud.tau for u in unwound]
             for k in range(1, depth + 1):
                 b = unwound[k]
+                if any(np.linalg.norm(mp.proj - b) <= tol for mp, _ in results):
+                    continue  # a point already kept stands for b
                 # canonical class of the gluing point: trim (-j)^k to the
                 # largest m <= k whose unwinding sits on the cloud
                 m = max((i for i in range(k + 1) if on_cloud[i]), default=0)
@@ -330,14 +328,7 @@ def branch_points(
                     and float(closure_trees[phi].query(b[None, :])[0][0]) <= tol
                 )
                 if incidence >= 2:
-                    found.append((b, cls_theta, x, incidence))
-
-    results: list[tuple[ManifoldPoint, int]] = []
-    for b, cls_theta, x, inc in found:
-        dup = any(np.linalg.norm(mp.proj - b) <= tol for mp, _ in results)
-        if not dup:
-            results.append(
-                (ManifoldPoint(theta=cls_theta, x=x, proj=b), inc)
-            )
+                    point = ManifoldPoint(theta=cls_theta, x=x, proj=b)
+                    results.append((point, incidence))
     results.sort(key=lambda t: tuple(np.round(t[0].proj, 9)))
     return results

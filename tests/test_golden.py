@@ -98,6 +98,21 @@ LEVEL_RASTERS = {
     ),
 }  # fmt: skip
 
+# `fbe manifold branch` stdout: projections, integer parts and incidences
+BRANCH = {
+    "sierpinski": (
+        [
+            "manifold", "branch", "--ifs", "sierpinski", "--cell", "0.015625",
+            "--depth", "3",
+        ],
+        "26b0ecef87991bb9b41bdedf1e870ddb440685c96bc76fcccd87a3e3ead810c4",
+    ),
+    "koch": (
+        ["manifold", "branch", "--ifs", "koch", "--cell", "0.015625", "--depth", "2"],
+        "7d8c938786df8d35b86efc012d2cbc8a6c5cb3a65a0e02b8b39c5d1bf9f23752",
+    ),
+}  # fmt: skip
+
 # `fbe verify --json` reports with each check's runtime dropped: names,
 # tags, statuses, residuals and tolerances
 VERIFY = {
@@ -141,6 +156,14 @@ def test_golden_level_raster(tmp_path, capsys, name):
     pgm, csv = tmp_path / "basin.pgm", tmp_path / "basin.csv"
     _run(argv + ["--out", str(pgm), "--csv", str(csv)])
     assert (_sha256(pgm), _sha256(csv)) == (pgm_digest, csv_digest)
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH))
+def test_golden_branch_points(capsys, name):
+    argv, digest = BRANCH[name]
+    _run(argv)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY))

@@ -253,20 +253,42 @@ def test_attractor_koch_two_cycle(koch_ifs):
     assert cloud.meta["cycle"] == 2
 
 
-def test_attractor_refuses_runaway_growth(monkeypatch):
+def _shears() -> IfsSystem:
     # each shear attracts, but their products expand
-    monkeypatch.setattr(fbe.ifs, "MAX_IMAGE_POINTS", 10_000)
     shears = [
         AffineMap(np.array([[0.5, 4.0], [0.0, 0.5]]), np.array([1.0, 0.0])),
         AffineMap(np.array([[0.5, 0.0], [4.0, 0.5]]), np.array([0.0, 1.0])),
     ]
-    ifs = IfsSystem("R2", tuple(shears))
+    return IfsSystem("R2", tuple(shears))
+
+
+def test_attractor_refuses_runaway_growth(monkeypatch):
+    monkeypatch.setattr(fbe.ifs, "MAX_IMAGE_POINTS", 10_000)
+    ifs = _shears()
     with _time_limit(1.0), pytest.raises(ResolutionError, match="10000") as ei:
         attractor(ifs, 1e-3)
     # refused at the full iteration's step, with its message
     with pytest.raises(ResolutionError) as ref:
         full_iteration(ifs, 1e-3)
     assert str(ei.value) == str(ref.value)
+
+
+def test_attractor_step_images_within_cap(monkeypatch):
+    # the shears' changed cells outgrow their set: a step that transformed
+    # them all would make more images than the cap admits
+    monkeypatch.setattr(fbe.ifs, "MAX_IMAGE_POINTS", 10_000)
+    sizes = []
+    images = IfsSystem.images
+
+    def counted(self, pts):
+        out = images(self, pts)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(IfsSystem, "images", counted)
+    with _time_limit(1.0), pytest.raises(ResolutionError):
+        attractor(_shears(), 1e-3)
+    assert sizes and max(sizes) <= 10_000
 
 
 @pytest.mark.parametrize("n_maps", [1, 2, 3, 4])
@@ -281,6 +303,8 @@ def test_word_tree_bound(n_maps):
     for too_deep in (depth + 1, 10**9):
         with _time_limit(1.0), pytest.raises(ResolutionError):
             fbe.ifs.check_word_tree(n_maps, too_deep)
+    with pytest.raises(DomainError):
+        fbe.ifs.check_word_tree(n_maps, -1)
 
 
 def test_attractor_f_invariance(cantor_cloud, cantor_ifs, sierpinski_cloud, sierpinski_ifs):

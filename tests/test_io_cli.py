@@ -532,13 +532,18 @@ def test_cli_unreadable_spec(tmp_path, capsys):
         ["attractor", "--burn-in", "5"],  # orbit flags need --chaos
         ["attractor", "--seed", "3"],
         ["fastbasin", "--region", "-3,3", "--grid", "50000,50000"],  # > 2^31 cells
+        # a region or grid that does not fit the system's raster frame
+        ["fastbasin", "--region", "0,0,1,1", "--grid", "8,8"],
+        ["fastbasin", "--region", "0,1", "--grid", "8,8"],  # an R1 raster has one row
+        ["fastbasin", "--ifs", "sierpinski", "--region", "0,1", "--grid", "8"],
     ],
     ids=" ".join,
 )
 def test_cli_malformed_value(capsys, argv):
-    if "--cell" not in argv:
-        argv = argv + ["--cell", "0.01"]
-    _exits_2(argv + ["--ifs", "interval"], capsys)
+    for flag, default in (("--cell", "0.01"), ("--ifs", "interval")):
+        if flag not in argv:
+            argv = argv + [flag, default]
+    _exits_2(argv, capsys)
 
 
 @pytest.mark.parametrize(
@@ -557,6 +562,7 @@ def test_cli_malformed_value(capsys, argv):
         ["manifold", "leaves", "--ifs", "interval", "--depth", "-1"],
         ["manifold", "leaves", "--ifs", "sierpinski", "--depth", "25"],  # word tree
         ["attractor", "--ifs", "cantor", "--chaos", "1000", "--burn-in", "-1"],
+        ["attractor", "--ifs", "cantor", "--chaos", "0"],  # an orbit of no points
     ],
     ids=" ".join,
 )
@@ -604,6 +610,20 @@ def test_cli_cache_dir(tmp_path, monkeypatch):
     before = cached[0].stat().st_mtime_ns
     assert main(["attractor", "--ifs", "cantor", "--cell", str(3.0**-7)]) == 0
     assert cached[0].stat().st_mtime_ns == before
+
+
+def test_cli_cache_keeps_close_cells_apart(tmp_path, monkeypatch, capsys):
+    # cells that agree to 8 significant digits are still two grids
+    monkeypatch.setenv(io.CACHE_ENV, str(tmp_path / "cache"))
+    argv = ["attractor", "--ifs", "sierpinski", "--cell"]
+    assert main(argv + ["0.01"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["0.0100000001", "--out", str(tmp_path / "a")]) == 0
+    cached = capsys.readouterr().out
+    monkeypatch.delenv(io.CACHE_ENV)
+    assert main(argv + ["0.0100000001", "--out", str(tmp_path / "b")]) == 0
+    assert cached == capsys.readouterr().out
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 def test_cli_chaos_seeded(capsys):
