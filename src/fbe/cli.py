@@ -202,13 +202,14 @@ def _cmd_manifold(args) -> int:
             )
         )
     elif args.mop == "leaves":
-        c = min(ifs.dim, 2)  # the coordinates a row shows
-        cols = "proj_min,proj_max" if c == 1 else "min_x,min_y,max_x,max_y"
+        # the box is drawn in the raster frame, as fastbasin draws the system
+        cols = "proj_min,proj_max" if ifs.dim == 1 else "min_x,min_y,max_x,max_y"
         rows = [f"theta,count,{cols}"]
         for theta in manifold.enumerate_leaves(ifs.n_maps, args.depth):
             pts = manifold.leaf_projection(ifs, cloud, theta)
             label = format_address(Address.finite(theta)) or "()"
-            box = np.concatenate([pts.min(axis=0)[:c], pts.max(axis=0)[:c]])
+            xy = basin._raster_coords(ifs, pts)
+            box = np.concatenate([xy.min(axis=0), xy.max(axis=0)])
             rows.append(f"{label},{pts.shape[0]}" + "".join(f",{v:.9g}" for v in box))
         text = "\n".join(rows) + "\n"
         if args.out:

@@ -444,6 +444,81 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
     return _resolved_cloud(ifs, pts, cell, meta)
 
 
+# Steps per lane of a chaos orbit (see _orbit): long enough that the lanes
+# of a contraction forget their guessed starts within one lane, short
+# enough that ~n / LANE_STEPS rows share each batched step.
+LANE_STEPS = 512
+
+
+def _lane_step(ifs: IfsSystem):
+    """One orbit step on a batch of lanes, step(x, i, out): lane r goes to
+    f_{i[r] + 1}(x[r]), written to out. Each row is computed apart from the
+    others, by the float operations of a one-row step: a stacked matmul
+    (as A @ x, then + b) for affine maps, each Moebius map's apply_complex
+    on the plane values of its rows."""
+    if ifs.is_sphere:
+
+        def step(z, i, out):
+            for m, f in enumerate(ifs.maps):
+                sel = i == m
+                if sel.any():
+                    out[sel] = f.apply_complex(z[sel])
+
+        return step
+    mats = np.stack([m.matrix for m in ifs.maps])
+    offs = np.stack([m.offset for m in ifs.maps])
+
+    def step(x, i, out):
+        np.add(np.matmul(mats[i], x[:, :, None])[..., 0], offs[i], out=out)
+
+    return step
+
+
+def _orbit(
+    ifs: IfsSystem, digits: np.ndarray, x0: np.ndarray, lane: int = LANE_STEPS
+) -> tuple[np.ndarray, int]:
+    """The orbit x_k = f_{digits[k]}(x_{k-1}) from x_{-1} = x0, one row per
+    step, bit for bit the one-step-at-a-time loop, and the rounds it took.
+
+    The steps are cut into lanes of `lane` steps that run side by side,
+    one batched step at a time. Each lane starts from a guess, x0 at
+    first. After a round, lane j's start becomes lane j-1's last point
+    (lane 0 keeps x0), and the next round reruns the lanes from the first
+    whose start changed in its bits (-0.0 and 0.0 differ). When no start
+    changes, every lane began at its predecessor's last point, so by
+    induction from lane 0 the orbit is the sequential one. Each round
+    makes at least one more lane exact, so there are at most
+    ceil(n / lane) rounds; maps that contract make the lanes forget their
+    guesses, so they agree after a round or two (a Parareal-style
+    fixpoint, Lions, Maday & Turinici 2001). Overflow is left to the
+    caller's check.
+    """
+    x0 = np.asarray(x0, dtype=complex if ifs.is_sphere else float)
+    n = len(digits)
+    lanes = -(-n // lane)
+    idx = np.zeros(lanes * lane, dtype=np.intp)  # padded steps apply map 1
+    idx[:n] = digits - 1
+    idx = idx.reshape(lanes, lane).T.copy()  # idx[k] is step k of every lane
+    step = _lane_step(ifs)
+    orbit = np.empty((lane, lanes) + x0.shape, dtype=x0.dtype)
+    starts = np.repeat(x0[None], lanes, axis=0)
+    first, rounds = 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            rounds += 1
+            x = starts[first:]
+            for k in range(lane):
+                step(x, idx[k, first:], orbit[k, first:])
+                x = orbit[k, first:]
+            new = np.concatenate([x0[None], orbit[-1, :-1]])
+            moved = new.view(np.int64) != starts.view(np.int64)
+            moved = np.flatnonzero(moved.reshape(lanes, -1).any(axis=1))
+            if not moved.size:
+                break
+            first, starts = moved[0], new
+    return orbit.swapaxes(0, 1).reshape((-1,) + x0.shape)[:n], rounds
+
+
 def _orbit_residual(
     imgs: np.ndarray, out: np.ndarray, digits: np.ndarray
 ) -> tuple[float, list[int]]:
@@ -456,32 +531,47 @@ def _orbit_residual(
     distance to out and out[j + 1]'s distance to imgs, and a row with
     u_j <= h/2, h the maximum found so far, cannot raise the maximum and is
     not queried; the margin of 1/2 covers rounding, and a NaN u_j is
-    queried. The first direction queries the tree of out with the other
-    rows, map by map, then with the twins that fail the bound; the second
-    queries the tree of imgs with out[0] and the rows that fail it. The
-    result is the same float as hausdorff_distance.
+    queried. out[0] has no twin; its bound is its brute-force distance to
+    the nearest row of imgs. The first direction queries the tree of out
+    with the other rows, map by map, then with the twins that fail the
+    bound; the second queries the tree of imgs with the rows of out that
+    fail it, and builds that tree only if there are any. Every distance
+    taken is a tree query's, so the result is the same float as
+    hausdorff_distance.
     """
     n = out.shape[0]
     twins = (digits - 1) * n + np.arange(n - 1)
-    u = np.linalg.norm(out[1:] - imgs[twins], axis=1)
-    # an unbalanced tree without shrunk node boxes builds faster, and a
-    # query is exact on any tree shape, so every distance keeps its bits
-    tree = cKDTree(out, balanced_tree=False, compact_nodes=False)
-    # map by map, so that no copy of two thirds of imgs is made at once
+    u = np.empty(n)
+    # out[0]'s bound, map by map as below
+    u[0] = min(
+        np.linalg.norm(imgs[s : s + n] - out[0], axis=1).min()
+        for s in range(0, len(imgs), n)
+    )
+    u[1:] = np.linalg.norm(out[1:] - imgs[twins], axis=1)
+    # an unbalanced tree builds faster, shrunk node boxes pay for
+    # themselves over this tree's many queries, and a query is exact on
+    # any tree shape, so every distance keeps its bits
+    tree = cKDTree(out, balanced_tree=False)
+    # map by map, so that no copy of two thirds of imgs is made at once,
+    # and in the tree's leaf order, so that successive queries, images of
+    # nearby points, walk the same nodes
     nxt = np.append(digits, 0)  # the images of out[n - 1] have no twin
+    leaf = tree.indices
     h, first = 0.0, 0
     for i in range(imgs.shape[0] // n):
-        others = imgs[i * n : (i + 1) * n][nxt != i + 1]
+        others = imgs[i * n + leaf[nxt[leaf] != i + 1]]
         h = max(h, tree.query(others, workers=-1)[0].max())
         first += len(others)
-    far = twins[~(u <= h / 2)]
+    far = twins[~(u[1:] <= h / 2)]
     if far.size:
         h = max(h, tree.query(imgs[far], workers=-1)[0].max())
-    del tree, twins  # freed before the second tree is built
-    rows = np.concatenate([[0], np.flatnonzero(~(u <= h / 2)) + 1])
-    tree = cKDTree(imgs, balanced_tree=False, compact_nodes=False)
-    d = tree.query(out[rows], workers=-1)[0].max()
-    return float(max(h, d)), [first + far.size, rows.size]
+    del tree, twins, leaf  # freed before the second tree is built
+    rows = np.flatnonzero(~(u <= h / 2))
+    if rows.size:
+        # no shrunk node boxes: this tree answers only a few rows
+        tree = cKDTree(imgs, balanced_tree=False, compact_nodes=False)
+        h = max(h, tree.query(out[rows], workers=-1)[0].max())
+    return float(h), [first + far.size, rows.size]
 
 
 def chaos_game(
@@ -490,30 +580,28 @@ def chaos_game(
     burn_in: int = 64,
     rng_seed: int = 0,
 ) -> AttractorCloud:
-    """Random-orbit cloud; deterministic for a given seed (PCG64)."""
+    """Random-orbit cloud; deterministic for a given seed (PCG64).
+
+    The orbit runs in lanes (_orbit); a sphere orbit stays in the plane
+    and one to_sphere call embeds it. An orbit or image that leaves the
+    floats raises ResolutionError.
+    """
     if not 0 <= burn_in < n:
         raise DomainError(f"need 0 <= burn_in < n, got burn_in={burn_in}, n={n}")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     digits = rng.integers(1, ifs.n_maps + 1, size=n)
-    x = ifs.fixed_points()[0]
+    x0 = ifs.fixed_points()[0]
     if ifs.is_sphere:
-        # the orbit stays in the plane; one to_sphere call embeds it
-        zs = np.empty(n, dtype=complex)
-        z = from_sphere(x[None, :])
-        for k, d in enumerate(digits):
-            z = ifs.maps[d - 1].apply_complex(z)
-            zs[k] = z[0]
+        zs, rounds = _orbit(ifs, digits, from_sphere(x0)[0])
         out = to_sphere(zs[burn_in:])
     else:
-        # the same matmul and add per step as A @ x + b, with no temporaries
-        mats = [m.matrix for m in ifs.maps]
-        offs = [m.offset for m in ifs.maps]
-        orbit, buf = np.empty((n, ifs.dim)), np.empty(ifs.dim)
-        for k, d in enumerate(digits.tolist()):
-            np.matmul(mats[d - 1], x, out=buf)
-            x = np.add(buf, offs[d - 1], out=orbit[k])
+        orbit, rounds = _orbit(ifs, digits, x0)
         out = orbit[burn_in:]
-    residual, queried = _orbit_residual(ifs.images(out), out, digits[burn_in + 1 :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        imgs = ifs.images(out)
+    if not (np.isfinite(out).all() and np.isfinite(imgs).all()):
+        raise ResolutionError(f"the chaos orbit of {n} points overflows")
+    residual, queried = _orbit_residual(imgs, out, digits[burn_in + 1 :])
     meta = {
         "method": "chaos",
         "n": n,
@@ -522,6 +610,7 @@ def chaos_game(
         "rng_seed": rng_seed,
         "residual": residual,
         "queried": queried,
+        "rounds": rounds,
     }
     return _resolved_cloud(ifs, out, residual, meta)
 

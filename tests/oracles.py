@@ -6,9 +6,11 @@ intervals for the binary interval system) and never calls the library's
 own geometry kernels, so tolerance artifacts in the implementation
 cannot silently pass. Two exceptions use the library on purpose:
 `chordal_distance` measures through its sphere embedding, which tests
-check against the closed-form chordal metric, and `full_iteration`
-steps with its maps and `grid_dedup`, since it checks how `attractor`
-iterates, not the maps or the snapping.
+check against the closed-form chordal metric, `full_iteration` steps
+with its maps and `grid_dedup`, since it checks how `attractor`
+iterates, not the maps or the snapping, and `sequential_orbit` steps
+with its maps' coefficients and `apply_complex`, since it checks how
+`chaos_game` batches the orbit, not the maps.
 """
 
 from __future__ import annotations
@@ -295,3 +297,24 @@ def full_iteration(ifs, cell: float):
         "changed": changed,
     }
     return fbe.ifs._resolved_cloud(ifs, pts, cell, meta)
+
+
+def sequential_orbit(ifs, digits, x0) -> np.ndarray:
+    """The orbit x_k = f_{digits[k]}(x_{k-1}) from x_{-1} = x0, one step at
+    a time: the reference for `fbe.ifs._orbit`'s lanes. An affine step is
+    the matmul and add of A @ x + b into preallocated rows; a sphere orbit
+    stays in the plane (x0 is a complex value), each step one map's
+    apply_complex on a one-element array."""
+    if ifs.is_sphere:
+        zs, z = np.empty(len(digits), dtype=complex), np.atleast_1d(x0)
+        for k, d in enumerate(digits):
+            z = ifs.maps[d - 1].apply_complex(z)
+            zs[k] = z[0]
+        return zs
+    mats = [m.matrix for m in ifs.maps]
+    offs = [m.offset for m in ifs.maps]
+    orbit, buf, x = np.empty((len(digits), ifs.dim)), np.empty(ifs.dim), x0
+    for k, d in enumerate(np.asarray(digits).tolist()):
+        np.matmul(mats[d - 1], x, out=buf)
+        x = np.add(buf, offs[d - 1], out=orbit[k])
+    return orbit

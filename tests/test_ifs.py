@@ -23,7 +23,7 @@ from fbe.ifs import (
 from fbe.maps import AffineMap, MoebiusMap, from_sphere, to_sphere
 
 from conftest import _time_limit
-from oracles import cantor_level_points, full_iteration, orbit_limit
+from oracles import cantor_level_points, full_iteration, orbit_limit, sequential_orbit
 
 A = parse_address
 
@@ -392,8 +392,8 @@ def test_chaos_residual_is_hausdorff(name):
         assert orbit.meta["residual"] == exact
 
 
-def _orbit(ifs, digits):
-    out = [ifs.fixed_points()[0]]
+def _orbit(ifs, digits, start=None):
+    out = [ifs.fixed_points()[0] if start is None else np.asarray(start, dtype=float)]
     for d in digits:
         out.append(ifs.transform(int(d), out[-1][None, :])[0])
     return np.array(out)
@@ -432,13 +432,96 @@ def test_orbit_residual_queries_far_twin(sierpinski_ifs):
         assert first.argmax() == twins[j] and np.delete(first, twins[j]).max() == h
         residual, queried = fbe.ifs._orbit_residual(imgs, out, digits)
         assert residual == hausdorff_distance(imgs, out) == first.max()
-        assert queried == [len(imgs) - len(twins) + 1, 2]
+        assert queried == [len(imgs) - len(twins) + 1, 1]
+
+
+def test_orbit_residual_queries_far_start(sierpinski_ifs):
+    # an orbit started at (2, 2): out[0] lies farther from F(out) than any
+    # image lies from out, and its brute-force bound fails, so the tree of
+    # F(out) is built for it alone and holds the maximum
+    digits = np.random.default_rng(7).integers(1, 4, size=999)
+    out = _orbit(sierpinski_ifs, digits, start=(2.0, 2.0))
+    imgs = _images(sierpinski_ifs, out)
+    exact = hausdorff_distance(imgs, out)
+    assert exact == cKDTree(imgs).query(out[:1])[0][0] > cKDTree(out).query(imgs)[0].max()
+    residual, queried = fbe.ifs._orbit_residual(imgs, out, digits)
+    assert residual == exact and queried[1] == 1
 
 
 def test_chaos_queried_counts(sierpinski_ifs):
-    # the twins of 4935 steps are skipped; the tree of F(out) answers out[0]
+    # the twins of 4935 steps are skipped, and out[0]'s brute-force bound
+    # holds, so no tree of F(out) is built
     orbit = chaos_game(sierpinski_ifs, 5000, rng_seed=1)
-    assert orbit.meta["queried"] == [3 * 4936 - 4935, 1]
+    assert orbit.meta["queried"] == [3 * 4936 - 4935, 0]
+
+
+def test_chaos_rounds_counts(sierpinski_ifs):
+    # a round computes every lane, a second finds every lane's start
+    # unchanged: the lanes forget their guessed starts within one lane
+    for n in (5000, 100_000):
+        assert chaos_game(sierpinski_ifs, n, rng_seed=1).meta["rounds"] == 2
+    # one lane is the sequential loop: exact after one round
+    assert chaos_game(sierpinski_ifs, fbe.ifs.LANE_STEPS, rng_seed=1).meta["rounds"] == 1
+
+
+@st.composite
+def _contractive_orbit(draw):
+    """A random contractive affine system on R1, R2 or R4 (2 to 4 maps,
+    sigma_max up to 0.999), with digits, a start and a lane length."""
+    dim = draw(st.sampled_from([1, 2, 4]))
+    lam = draw(st.floats(0.05, 0.999))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = []
+    for _ in range(draw(st.integers(2, 4))):
+        u, v = (np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(2))
+        mat = u @ np.diag(rng.uniform(-lam, lam, dim)) @ v
+        maps.append(AffineMap(mat, rng.uniform(-1.0, 1.0, dim)))
+    ifs = IfsSystem(f"R{dim}", tuple(maps))
+    digits = rng.integers(1, ifs.n_maps + 1, size=draw(st.integers(1, 3000)))
+    x0 = draw(st.sampled_from([ifs.fixed_points()[0], rng.uniform(-3.0, 3.0, dim)]))
+    return ifs, digits, x0, draw(st.sampled_from([1, 7, 64, fbe.ifs.LANE_STEPS]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_contractive_orbit())
+def test_orbit_lanes_equal_sequential_orbit_affine(case):
+    ifs, digits, x0, lane = case
+    orbit, rounds = fbe.ifs._orbit(ifs, digits, x0, lane)
+    assert orbit.tobytes() == sequential_orbit(ifs, digits, x0).tobytes()
+    assert 1 <= rounds <= -(-len(digits) // lane)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(["mobius_arc", "projective_line", "schottky"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3000),
+    lane=st.sampled_from([1, 7, 64, fbe.ifs.LANE_STEPS]),
+)
+def test_orbit_lanes_equal_sequential_orbit_sphere(name, seed, n, lane):
+    ifs = systems.by_name(name)
+    digits = np.random.default_rng(seed).integers(1, ifs.n_maps + 1, size=n)
+    x0 = from_sphere(ifs.fixed_points()[0])[0]
+    orbit, rounds = fbe.ifs._orbit(ifs, digits, x0, lane)
+    assert orbit.tobytes() == sequential_orbit(ifs, digits, x0).tobytes()
+    assert 1 <= rounds <= -(-n // lane)
+
+
+@pytest.mark.parametrize("lane", [1, 7, 64, fbe.ifs.LANE_STEPS])
+def test_orbit_lanes_through_a_moebius_pole(lane):
+    # z -> z/4 underflows to exactly 0 after 600 steps, z -> -1/z sends 0
+    # to its pole (inf) and inf back to 0, and z -> z/4 keeps inf: the
+    # planted block crosses lane boundaries, so lanes start at 0 and at inf
+    quarter, flip = MoebiusMap(1, 0, 0, 4), MoebiusMap(0, -1, 1, 0)
+    third = MoebiusMap(2, 1j, 0.5, 0.75 + 0.25j)
+    ifs = IfsSystem("sphere", (quarter, flip, third))
+    rng = np.random.default_rng(11)
+    planted = [1] * 600 + [2, 1, 1, 2, 2, 1, 3]
+    digits = np.concatenate([rng.integers(1, 4, 500), planted, rng.integers(1, 4, 900)])
+    x0 = 0.3 + 0.1j
+    ref = sequential_orbit(ifs, digits, x0)
+    assert np.isinf(ref).sum() == 5 and (ref == 0).any()
+    assert fbe.ifs._orbit(ifs, digits, x0, lane)[0].tobytes() == ref.tobytes()
 
 
 def test_chaos_game_single_map():

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import fbe.verify
-from fbe import io, systems
+from fbe import io, manifold, systems
 from fbe.addresses import parse_address
 from fbe.basin import finite_continuation
 from fbe.cli import main
 from fbe.errors import NonInvertibleMapError, SpecFormatError, StaleCacheError
 from fbe.ifs import AttractorCloud, attractor, chaos_game
+from fbe.maps import from_sphere
 
 from conftest import _time_limit
 
@@ -275,6 +276,26 @@ def test_cli_manifold_leaves(capsys):
     assert len(lines) == 4  # header + 3 leaves
 
 
+def test_cli_manifold_leaves_sphere(tmp_path):
+    # a sphere system's boxes are drawn in the complex plane, the frame of
+    # its rasters: the mobius_arc leaves lie on the arc |z - 3i/2| = 1/2
+    out = tmp_path / "leaves.csv"
+    argv = ["manifold", "leaves", "--ifs", "mobius_arc", "--cell", "0.002"]
+    assert main(argv + ["--depth", "1", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "theta,count,min_x,min_y,max_x,max_y"
+    ifs = systems.mobius_arc()
+    cloud = attractor(ifs, 0.002)
+    for row, theta in zip(rows, manifold.enumerate_leaves(2, 1), strict=True):
+        pts = manifold.leaf_projection(ifs, cloud, theta)
+        count, *box = row.split(",")[1:]
+        assert int(count) == len(pts)
+        z = from_sphere(pts)
+        want = [z.real.min(), z.imag.min(), z.real.max(), z.imag.max()]
+        assert [float(v) for v in box] == pytest.approx(want, rel=1e-8)
+        assert 1.0 - 1e-2 <= want[1] and want[3] <= 2.0 + 1e-2
+
+
 def test_cli_verify_interval(tmp_path):
     report = tmp_path / "report.json"
     assert (
@@ -493,14 +514,24 @@ _SPECS = {
     "type-unknown": {"space": "R1", "maps": [{"type": "shear"}]},
     "no-maps": {"space": "R1", "maps": []},
     "not-object": [],
+    # maps that each attract but whose products expand: the orbit overflows
+    "shears-chaos": {
+        "space": "R2",
+        "maps": [
+            _affine(matrix=[[0.5, 4.0], [0.0, 0.5]], offset=[1.0, 0.0]),
+            _affine(matrix=[[0.5, 0.0], [4.0, 0.5]], offset=[0.0, 1.0]),
+        ],
+    },
 }
+# flags a spec's run takes after --ifs
+_SPEC_FLAGS = {"shears-chaos": ["--chaos", "20000"]}
 
 
-@pytest.mark.parametrize("spec", _SPECS.values(), ids=_SPECS)
-def test_cli_malformed_spec(tmp_path, capsys, spec):
+@pytest.mark.parametrize("name", _SPECS)
+def test_cli_malformed_spec(tmp_path, capsys, name):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    _exits_2(["attractor", "--ifs", str(path)], capsys)
+    path.write_text(json.dumps(_SPECS[name]))
+    _exits_2(["attractor", "--ifs", str(path), *_SPEC_FLAGS.get(name, [])], capsys)
 
 
 def test_cli_unreadable_spec(tmp_path, capsys):
