@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +59,16 @@ def _get_cloud(ifs: IfsSystem, cell: float):
     cloud = attractor(ifs, cell)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        io.cache_attractor(ifs, cloud, cache_path)
+        # the file takes the cache's name only once it is complete, so a
+        # stopped write leaves no short cloud behind
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_path.parent)
+        os.close(fd)
+        try:
+            io.cache_attractor(ifs, cloud, tmp)
+            os.replace(tmp, cache_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return cloud
 
 
@@ -265,6 +277,8 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _DASH_VALUE
 
 
+# main runs once per command, and a process may run many: build this once
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="fbe",

@@ -105,6 +105,45 @@ def format_rows(row: str, columns):
         yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
+def _grid_text(columns):
+    """Per float64 column, its sorted distinct bit patterns and the `%.17g`
+    text of each, followed by the row's separator; None from the first
+    column with more than half as many distinct values as rows. Bits, not
+    values, tell values apart, so -0.0 and 0.0 keep their own text."""
+    distinct = []
+    for c in columns:
+        bits = np.sort(c.view(np.int64))
+        new = bits[1:] != bits[:-1]
+        if 2 * (np.count_nonzero(new) + 1) > len(bits):
+            return None
+        distinct.append(np.concatenate((bits[:1], bits[1:][new])))
+    tables = []
+    for keys, sep in zip(distinct, [" "] * (len(distinct) - 1) + ["\n"]):
+        text = [f"{v:.17g}{sep}" for v in keys.view(np.float64).tolist()]
+        tables.append((keys, np.array(text, dtype=object)))
+    return tables
+
+
+def _cloud_rows(points):
+    """Yield the rows of a cloud file, 17 significant digits per value, 4096
+    rows per chunk. A grid cloud, snapped to cell centres, has few distinct
+    values per column: each is formatted once, and a chunk's rows are
+    gathered from that text. Other clouds go through format_rows."""
+    columns = points.T
+    tables = _grid_text(columns)
+    if tables is None:
+        yield from format_rows(" ".join(["%.17g"] * len(columns)) + "\n", columns)
+        return
+    for s in range(0, len(points), 4096):
+        chunk = np.column_stack(
+            [
+                text[np.searchsorted(keys, c[s : s + 4096].view(np.int64))]
+                for (keys, text), c in zip(tables, columns)
+            ]
+        )
+        yield "".join(chunk.ravel().tolist())
+
+
 def cache_attractor(ifs: IfsSystem, cloud: AttractorCloud, path) -> None:
     """Write the header line, then the rows: 17 significant digits each."""
     pts = cloud.points
@@ -112,7 +151,7 @@ def cache_attractor(ifs: IfsSystem, cloud: AttractorCloud, path) -> None:
         fh.write(
             f"FBE-CLOUD v1 {ifs.ifs_hash()} {cloud.epsilon:.17g} {pts.shape[0]}\n"
         )
-        fh.writelines(format_rows(" ".join(["%.17g"] * pts.shape[1]) + "\n", pts.T))
+        fh.writelines(_cloud_rows(pts))
 
 
 def load_cached(path, ifs: IfsSystem) -> AttractorCloud:

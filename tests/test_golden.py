@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+from fbe import io, systems
 from fbe.cli import main
 
 GOLDEN = {
@@ -142,6 +143,34 @@ def test_golden_cloud(tmp_path, capsys, name):
     argv, digest = GOLDEN[name]
     _run(argv + ["--out", str(tmp_path / name)])
     assert _sha256(tmp_path / name) == digest
+
+
+# The cloud writer's two paths, each pinned above: grid clouds gather their
+# rows from the text of each distinct value, the others format every value
+WRITER_PATHS = {
+    "grid": ["koch.cloud", "quadratic_graph.cloud", "sierpinski.cloud"],
+    "format_rows": [
+        "chaos-mobius_arc.cloud",
+        "chaos-sierpinski.cloud",
+        "continuation-interval.cloud",
+        "interval.cloud",
+        "projective_line.cloud",
+    ],
+}
+
+
+def test_golden_clouds_cover_both_writer_paths(tmp_path, capsys):
+    clouds = sorted(n for n in GOLDEN if n.endswith(".cloud"))
+    assert sorted(sum(WRITER_PATHS.values(), [])) == clouds
+    taken = {}
+    for name in clouds:
+        argv, _ = GOLDEN[name]
+        _run(argv + ["--out", str(tmp_path / name)])
+        ifs = systems.by_name(argv[argv.index("--ifs") + 1])
+        pts = io.load_cached(tmp_path / name, ifs).points
+        path = "format_rows" if io._grid_text(pts.T) is None else "grid"
+        taken.setdefault(path, []).append(name)
+    assert taken == WRITER_PATHS
 
 
 def test_golden_raster(tmp_path, capsys):

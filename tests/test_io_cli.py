@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fbe.verify
 from fbe import io, manifold, systems
@@ -144,6 +146,54 @@ def test_cache_bytes_match_per_row_format(tmp_path, name, rows):
     assert path.read_bytes() == text.encode()
     loaded = io.load_cached(path, ifs)
     assert loaded.points.tobytes() == pts.tobytes() and loaded.epsilon == 0.1
+
+
+# values whose text is easy to get wrong: signed zeros, subnormals, values
+# near the float64 limits, and thirds whose 17-digit text is not shortest
+_POOL = [-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1 / 3, -2 / 3, 0.5]
+_POOL += [1e300, -1.7976931348623157e308, 1.7976931348623157e308, 3e299]
+_DIMS = {1: "cantor", 2: "sierpinski", 3: "mobius_arc", 4: "quadratic_graph"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rows=st.sampled_from([1, 4095, 4096, 4097, 8193]),
+    kinds=st.lists(st.sampled_from(["pool", "distinct"]), min_size=1, max_size=4),
+    pool_size=st.integers(1, len(_POOL)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cache_writer_matches_format_rows(tmp_path_factory, rows, kinds, pool_size, seed):
+    # grid-like columns drawn from a few values, and all-distinct ones, in
+    # any order: the writer's bytes are those of formatting every value
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pool = rng.permutation(np.array(_POOL))[:pool_size]
+    cols = [
+        rng.choice(pool, rows)
+        if kind == "pool"
+        else rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+        for kind in kinds
+    ]
+    pts = np.column_stack(cols)
+    ifs = systems.by_name(_DIMS[pts.shape[1]])
+    path = tmp_path_factory.mktemp("cloud") / "c.cloud"
+    io.cache_attractor(ifs, AttractorCloud(pts, 0.25), path)
+    row = " ".join(["%.17g"] * pts.shape[1]) + "\n"
+    text = f"FBE-CLOUD v1 {ifs.ifs_hash()} 0.25 {rows}\n"
+    text += "".join(io.format_rows(row, pts.T))
+    assert path.read_bytes() == text.encode()
+    assert io.load_cached(path, ifs).points.tobytes() == pts.tobytes()
+
+
+@pytest.mark.parametrize("values, grid", [(2047, True), (2048, False)])
+def test_cache_writer_grid_rule(values, grid):
+    # the grid path takes a column with at most half as many distinct
+    # values as rows; -0.0 and 0.0 count as two, so the column has values + 1
+    col = np.arange(4096) % values + 0.0
+    col[0] = -0.0
+    tables = io._grid_text([np.ones(4096), col])
+    assert (tables is not None) == grid
+    if grid:
+        assert tables[1][1][:2].tolist() == ["-0\n", "0\n"]
 
 
 def test_cache_header_format(tmp_path, cantor_ifs, cantor_cloud):
@@ -655,6 +705,65 @@ def test_cli_cache_keeps_close_cells_apart(tmp_path, monkeypatch, capsys):
     assert main(argv + ["0.0100000001", "--out", str(tmp_path / "b")]) == 0
     assert cached == capsys.readouterr().out
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+@pytest.mark.parametrize("stop", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_cli_cache_fill_is_atomic(tmp_path, monkeypatch, capsys, stop):
+    # a write stopped after the first chunk leaves neither a short cloud
+    # nor its temporary file, and the next run builds the cloud afresh
+    monkeypatch.setenv(io.CACHE_ENV, str(tmp_path))
+    rows = io._cloud_rows
+
+    def stopped(points):
+        yield next(rows(points))
+        raise stop
+
+    monkeypatch.setattr(io, "_cloud_rows", stopped)
+    argv = ["attractor", "--ifs", "sierpinski", "--cell", "0.0078125"]
+    if isinstance(stop, OSError):
+        _exits_2(argv, capsys)
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(io, "_cloud_rows", rows)
+    assert main(argv) == 0
+    (path,) = tmp_path.iterdir()
+    assert path.suffix == ".cloud" and main(argv) == 0  # the second run loads it
+    built, loaded = capsys.readouterr().out.splitlines()
+    assert built == loaded
+
+
+def test_cli_parser_reused(tmp_path, monkeypatch, capsys):
+    # one process, one parser: each command gives its first exit code,
+    # stdout and files again, whatever ran before it
+    monkeypatch.delenv(io.CACHE_ENV, raising=False)
+    cell = ["--cell", "0.015625"]
+    raster = ["--ifs", "sierpinski", *cell, "--region", "-3,-3,4,4", "--grid", "32,32"]
+    commands = [
+        ["attractor", "--ifs", "koch", *cell, "--out", "a.cloud"],
+        ["attractor", "--ifs", "cantor", "--chaos", "500", "--seed", "3", "--out", "c.cloud"],
+        ["fastbasin", *raster, "--depth", "2", "--out", "w.pgm", "--csv", "w.csv"],
+        ["fastbasin", *raster, "--via-continuations", "--out", "v.pgm"],
+        ["code", "sigma", "2", "1.-2.(1)*"],
+        ["manifold", "leaves", "--ifs", "sierpinski", *cell, "--depth", "1", "--out", "l.csv"],
+    ]
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv):
+        for f in tmp_path.iterdir():
+            f.unlink()
+        rc = main(argv)
+        files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        return rc, capsys.readouterr().out, files
+
+    first = [run(argv) for argv in commands]
+    assert [r[0] for r in first] == [0] * len(commands)
+    for i in [5, 0, 4, 1, 3, 2]:
+        assert run(commands[i]) == first[i]
+    _exits_2(["attractor", "--ifs", "cantor", "--chaos", "500", *cell], capsys)
+    _exits_2(["attractor", "--ifs", "cantor", "--seed", "3"], capsys)
+    assert run(commands[0]) == first[0]
 
 
 def test_cli_chaos_seeded(capsys):
