@@ -19,7 +19,7 @@ import numpy as np
 from .addresses import Address
 from .errors import DomainError, ResolutionError
 from .ifs import AttractorCloud, IfsSystem, check_word_tree, coding_map
-from .io import format_rows
+from .io import int_rows
 from .maps import from_sphere
 
 Word = tuple[int, ...]
@@ -100,8 +100,8 @@ class Raster:
     def to_csv(self) -> str:
         # np.nonzero is row-major: rows by iy, then ix
         ys, xs = np.nonzero(self.hit)
-        rows = format_rows("%d,%d,%d\n", (xs, ys, self.depth[ys, xs]))
-        return "ix,iy,depth\n" + "".join(rows)
+        rows = int_rows((xs, ys, self.depth[ys, xs]))
+        return b"".join([b"ix,iy,depth\n", *rows]).decode()
 
 
 def _normalize_region(region, rdim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,8 @@ check against the closed-form chordal metric, `full_iteration` steps
 with its maps and `grid_dedup`, since it checks how `attractor`
 iterates, not the maps or the snapping, and `sequential_orbit` steps
 with its maps' coefficients and `apply_complex`, since it checks how
-`chaos_game` batches the orbit, not the maps.
+`chaos_game` batches the orbit, not the maps. `format_rows` is Python's
+`%` formatting, the reference for the library's numpy number text.
 """
 
 from __future__ import annotations
@@ -318,3 +319,12 @@ def sequential_orbit(ifs, digits, x0) -> np.ndarray:
         np.matmul(mats[d - 1], x, out=buf)
         x = np.add(buf, offs[d - 1], out=orbit[k])
     return orbit
+
+
+def format_rows(row: str, columns):
+    """Yield `row % values` for the rows of the equal-length columns, 4096
+    rows per chunk: Python's own `%` on every value, the reference text of
+    the cloud and raster-CSV writers."""
+    for s in range(0, len(columns[0]), 4096):
+        chunk = np.column_stack([c[s : s + 4096] for c in columns])
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())

@@ -145,31 +145,44 @@ def test_golden_cloud(tmp_path, capsys, name):
     assert _sha256(tmp_path / name) == digest
 
 
-# The cloud writer's two paths, each pinned above: grid clouds gather their
-# rows from the text of each distinct value, the others format every value
+# The cloud writer's paths (io._cloud_rows), each pinned above: grid clouds
+# join their rows from the text of each distinct value; other clouds are
+# formatted into rows of float_slots, whose numpy digits also place the
+# point for |v| >= 1 and whose values outside [1e-4, 1e17) take `%`; a
+# cloud of fewer than io._NUMPY_MIN values takes one `%` call
 WRITER_PATHS = {
     "grid": ["koch.cloud", "quadratic_graph.cloud", "sierpinski.cloud"],
-    "format_rows": [
+    "slots": [
         "chaos-mobius_arc.cloud",
         "chaos-sierpinski.cloud",
         "continuation-interval.cloud",
-        "interval.cloud",
-        "projective_line.cloud",
     ],
+    "slots, |v| >= 1": ["continuation-interval.cloud"],
+    "slots, outside [1e-4, 1e17)": ["chaos-mobius_arc.cloud", "chaos-sierpinski.cloud"],
+    "one %": ["interval.cloud", "projective_line.cloud"],
 }
 
 
-def test_golden_clouds_cover_both_writer_paths(tmp_path, capsys):
+def test_golden_clouds_cover_every_writer_path(tmp_path, capsys):
     clouds = sorted(n for n in GOLDEN if n.endswith(".cloud"))
-    assert sorted(sum(WRITER_PATHS.values(), [])) == clouds
     taken = {}
     for name in clouds:
         argv, _ = GOLDEN[name]
         _run(argv + ["--out", str(tmp_path / name)])
         ifs = systems.by_name(argv[argv.index("--ifs") + 1])
         pts = io.load_cached(tmp_path / name, ifs).points
-        path = "format_rows" if io._grid_text(pts.T) is None else "grid"
-        taken.setdefault(path, []).append(name)
+        if pts.size < io._NUMPY_MIN:
+            paths = ["one %"]
+        elif io._grid_text(pts.T) is not None:
+            paths = ["grid"]
+        else:
+            a = abs(pts)
+            paths = ["slots"]
+            numpy = (a >= 1e-4) & (a < 1e17)
+            paths += ["slots, |v| >= 1"] * bool((numpy & (a >= 1)).any())
+            paths += ["slots, outside [1e-4, 1e17)"] * bool(not numpy.all())
+        for path in paths:
+            taken.setdefault(path, []).append(name)
     assert taken == WRITER_PATHS
 
 

@@ -20,6 +20,7 @@ from fbe.ifs import AttractorCloud, attractor, chaos_game
 from fbe.maps import from_sphere
 
 from conftest import _time_limit
+from oracles import format_rows
 
 
 @pytest.fixture()
@@ -179,7 +180,7 @@ def test_cache_writer_matches_format_rows(tmp_path_factory, rows, kinds, pool_si
     io.cache_attractor(ifs, AttractorCloud(pts, 0.25), path)
     row = " ".join(["%.17g"] * pts.shape[1]) + "\n"
     text = f"FBE-CLOUD v1 {ifs.ifs_hash()} 0.25 {rows}\n"
-    text += "".join(io.format_rows(row, pts.T))
+    text += "".join(format_rows(row, pts.T))
     assert path.read_bytes() == text.encode()
     assert io.load_cached(path, ifs).points.tobytes() == pts.tobytes()
 
@@ -194,6 +195,89 @@ def test_cache_writer_grid_rule(values, grid):
     assert (tables is not None) == grid
     if grid:
         assert tables[1][1][:2].tolist() == ["-0\n", "0\n"]
+
+
+def test_cache_writer_signed_zeros(tmp_path, sierpinski_ifs):
+    # an off-grid cloud with repeated zeros: the `%` text of each distinct
+    # bit pattern is reused, and -0.0 keeps its own
+    rng = np.random.Generator(np.random.PCG64(5))
+    pts = rng.random((5000, 2))
+    pts[::3, 0], pts[::5, 1] = 0.0, -0.0
+    path = tmp_path / "c.cloud"
+    io.cache_attractor(sierpinski_ifs, AttractorCloud(pts, 0.25), path)
+    assert io._grid_text(pts.T) is None
+    rows = path.read_text().splitlines()[1:]
+    assert rows == ["%.17g %.17g" % tuple(r) for r in pts]
+    assert rows[0] == "0 -0" and rows[5].endswith(" -0")
+
+
+# `%.17g` edge cases: signed zeros and the smallest subnormal; 1e-06, whose
+# 17 digits (9.9999999999999995e-07) fall below its power of ten; the
+# largest double below 1; the half-even ties 1e15 + 0.25 and 1e15 + 0.75;
+# 1e16; and both sides of the numpy range's bounds 1e-4 and 1e17
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-06, 0.99999999999999994, 1e15 + 0.25]
+_EDGES += [1e15 + 0.75, 1e16, -1e16, 1e-4, 1e17]
+_EDGES += [np.nextafter(b, t) for b in (1e-4, 1e17) for t in (0.0, np.inf)]
+
+
+def _slot_text(values, pad=io._NUMPY_MIN):
+    # padded with in-range values, so that the batch takes the numpy path;
+    # pad=0 leaves a small batch to `%`
+    padded = np.concatenate((values, np.full(pad, 1 / 3)))
+    text = [bytes(s).replace(b"\0", b"").decode() for s in io.float_slots(padded)]
+    assert text[len(values) :] == ["0.33333333333333331"] * pad
+    return text[: len(values)]
+
+
+@pytest.mark.parametrize("v", _EDGES)
+def test_float_slots_edges(v):
+    assert _slot_text([v, -v]) == ["%.17g" % v, "%.17g" % -v]
+    assert _slot_text([v, -v], pad=0) == ["%.17g" % v, "%.17g" % -v]
+
+
+def test_float_slots_powers_of_ten():
+    # floor(log10 |v|) is one too high just below a power of ten (log10
+    # rounds up to the integer), so the exponent must be corrected
+    powers = 10.0 ** np.arange(-4, 17)
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, 1e20)])
+    values = np.concatenate([values, -values])
+    assert _slot_text(values) == ["%.17g" % v for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50),
+)
+def test_float_slots_match_percent(bits, floats):
+    # any float64: raw bit patterns (the non-finite ones dropped) and floats
+    values = np.array(bits, np.uint64).view(np.float64)
+    values = np.concatenate((values[np.isfinite(values)], floats))
+    expected = ["%.17g" % v for v in values.tolist()]
+    assert _slot_text(values) == expected
+    assert _slot_text(values, pad=0) == expected
+
+
+def test_float_slots_across_chunks():
+    # every exponent of the numpy path and both sides of it, over more
+    # values than one 4096-value batch
+    rng = np.random.Generator(np.random.PCG64(11))
+    values = rng.random(9000) * 10.0 ** rng.integers(-7, 20, 9000)
+    values[rng.random(9000) < 0.5] *= -1
+    values[::97] = np.round(values[::97])
+    assert _slot_text(values, pad=0) == ["%.17g" % v for v in values.tolist()]
+
+
+@pytest.mark.parametrize("top", [1, 10, 9999, 10**4, 10**8 + 1, 2**62])
+def test_int_rows_match_format_rows(top):
+    # one to five four-digit groups, zeros and group boundaries included
+    rng = np.random.Generator(np.random.PCG64(top))
+    cols = [rng.integers(0, top, 5000, endpoint=True) for _ in range(3)]
+    cols[0][:4] = [0, top, 9999 % (top + 1), 10**4 % (top + 1)]
+    text = b"".join(io.int_rows(cols)).decode()
+    assert text == "".join(format_rows("%d,%d,%d\n", cols))
+    text = b"".join(io.int_rows(cols[1:2])).decode()
+    assert text == "".join(format_rows("%d\n", cols[1:2]))
 
 
 def test_cache_header_format(tmp_path, cantor_ifs, cantor_cloud):
