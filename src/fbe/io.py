@@ -103,14 +103,14 @@ def save_spec(ifs: IfsSystem, path) -> None:
 # as uint32 words, from a table of the 10**4 four-digit groups g, in four
 # forms: index g + 10**4 * form.
 
-# Words are little-endian whatever the host, so that byte k of a slot is
-# bits 8k..8k+7 of its word and a shift moves bytes
+# Words are little-endian whatever the host, so that a word's bytes land in
+# the slot in the order they are written
 _WORD, _WORD8 = np.dtype("<u4"), np.dtype("<u8")
 _CHUNK = 4096  # values or rows per batch: every digit and slot buffer is this short
 _SLOT = 24  # bytes of a float's slot; "-2.2250738585072014e-308" fills it
-# Fewer values than this in a batch all take `%`: below it, the numpy
-# path's fixed cost (about 60 numpy calls, 0.1-0.2 ms) is about what `%`
-# takes (0.4-1 us a value)
+# A cloud of fewer values than this takes one `%` call: below it, the
+# numpy path's fixed cost (about 60 numpy calls, 0.1-0.2 ms) is about what
+# `%` takes (0.4-1 us a value)
 _NUMPY_MIN = 512
 _NO_TRAIL, _NO_LEAD, _NO_LEAD_0 = 1, 2, 3  # form 0 has all four digits
 
@@ -164,24 +164,22 @@ _HEAD = np.frombuffer(
 )
 
 
-def _bytes_mask(lo, hi) -> np.ndarray:
-    """The three uint64 words of a slot with bytes lo..hi-1 set."""
-    m = np.zeros(_SLOT, np.uint8)
-    m[lo:hi] = 0xFF
-    return m.view(_WORD8)
+# For |v| >= 1 with exponent e, byte t of the slot takes byte
+# _MOVE[e, f, t] of the slot extended by a NUL and a ".", f = 1 when a
+# fraction digit is left: the integer digits D0..De move one byte down, to
+# bytes 6..6+e, and byte 7+e takes the point or a NUL. _INT_ZEROS[e] turns
+# the cut digits among D1..De back into zeros.
+def _point_tables():
+    move = np.tile(np.arange(_SLOT, dtype=np.uint8), (17, 2, 1))
+    zeros = np.zeros((17, _SLOT), np.uint8)
+    for e in range(17):
+        move[e, :, 6 : 7 + e] += 1
+        move[e, :, 7 + e] = _SLOT, _SLOT + 1
+        zeros[e, 8 : 8 + e] = ord("0")
+    return move, zeros
 
 
-# For |v| >= 1 with exponent e, each (word, e): the integer digits D0..De
-# move one byte down, to bytes 6..6+e; the sign and the fraction stay; the
-# point takes byte 7+e when a fraction digit is left.
-_INT_PART = np.array([_bytes_mask(6, 7 + e) for e in range(17)]).T.copy()
-_FRACTION = np.array([_bytes_mask(8 + e, _SLOT) for e in range(17)]).T.copy()
-_KEEP = _FRACTION | _bytes_mask(0, 1)[:, None]
-_POINT = np.array([_bytes_mask(7 + e, 8 + e) for e in range(17)]).T.copy()
-_POINT &= np.frombuffer(b"." * _SLOT, _WORD8)[:, None]
-_ZEROS = np.frombuffer(b"0" * 8, _WORD8)[0]  # NUL | "0" and digit | "0" give digits
-_BYTE = np.uint64(8)
-_REST = np.uint64(56)
+_MOVE, _INT_ZEROS = _point_tables()
 
 
 def _scaled(a, a_hi, a_lo, p):
@@ -202,7 +200,7 @@ def float_slots(values) -> np.ndarray:
     q = round-half-even(|v| * 10**(16 - X)), X = floor(log10 |v|) corrected
     until 10**16 <= q < 10**17. Zeros and values outside that range (the
     ones `%.17g` writes with an exponent) take one batched `%` call per 4096
-    values, as do batches with fewer than _NUMPY_MIN values in range."""
+    values."""
     values = np.asarray(values, dtype=np.float64)
     out = np.empty((len(values), _SLOT), np.uint8)
     for s in range(0, len(values), _CHUNK):
@@ -210,7 +208,7 @@ def float_slots(values) -> np.ndarray:
         a = np.abs(v)
         fixed = (a >= 1e-4) & (a < 1e17)
         count = np.count_nonzero(fixed)
-        if count < _NUMPY_MIN:
+        if count == 0:
             o[:] = _percent_slots(v)
         elif count == len(v):
             _fixed_slots(v, a, o)
@@ -268,23 +266,18 @@ def _fixed_slots(v, a, out) -> None:
         cut &= group == _NO_TRAIL * 10**4
     big = np.flatnonzero(p <= 16)
     if len(big):
-        _place_point(out.view(_WORD8), big, 16 - p[big])
+        _place_point(out, big, 16 - p[big])
 
 
-def _place_point(o64, rows, e) -> None:
+def _place_point(out, rows, e) -> None:
     """Move the integer digits and set the point of the slots `rows`, |v| >= 1
-    with exponents e, in the uint64 view of the slots. The digits come uncut:
-    a cut digit is a zero, and only digits are cut."""
-    words = [o64[rows, w] for w in range(3)]
-    uncut = [words[0], words[1] | _ZEROS, words[2] | _ZEROS, 0]
-    fraction = 0
-    for w in range(3):
-        fraction = fraction | (words[w] & _FRACTION[w][e])
-    point = fraction != 0
-    for w in range(3):
-        shifted = (uncut[w] >> _BYTE) | (uncut[w + 1] << _REST)
-        word = (shifted & _INT_PART[w][e]) | (words[w] & _KEEP[w][e])
-        o64[rows, w] = word | (_POINT[w][e] * point)
+    with exponents e. Only trailing zeros are cut, so a fraction is left
+    when the digit after De is."""
+    slots = np.empty((len(rows), _SLOT + 2), np.uint8)
+    slots[:, :_SLOT] = out[rows] | _INT_ZEROS[e]
+    slots[:, _SLOT :] = 0, ord(".")
+    fraction = slots[np.arange(len(rows)), 8 + e] != 0
+    out[rows] = np.take_along_axis(slots, _MOVE[e, fraction.view(np.uint8)], axis=1)
 
 
 def int_rows(columns):
@@ -332,19 +325,13 @@ def _grid_text(columns):
             return None
         distinct.append(np.concatenate((bits[:1], bits[1:][new])))
     # every distinct value in one call, each text followed by its separator
-    # and a \x01 to split on; a few take `%` alone, as float_slots would
+    # and a \x01 to split on
     counts = [len(keys) for keys in distinct]
-    values = np.concatenate(distinct).view(np.float64)
-    if len(values) < _NUMPY_MIN:
-        seps = [" "] * (len(columns) - 1) + ["\n"]
-        row = "".join(("%.17g" + sep + "\x01") * n for sep, n in zip(seps, counts))
-        text = (row % tuple(values.tolist())).split("\x01")
-    else:
-        slots = np.empty((len(values), _SLOT + 2), np.uint8)
-        slots[:, :_SLOT] = float_slots(values)
-        slots[:, _SLOT] = np.repeat(_separators(len(columns)), counts)
-        slots[:, -1] = 1
-        text = slots.tobytes().translate(None, b"\0").decode().split("\x01")
+    slots = np.empty((sum(counts), _SLOT + 2), np.uint8)
+    slots[:, :_SLOT] = float_slots(np.concatenate(distinct).view(np.float64))
+    slots[:, _SLOT] = np.repeat(_separators(len(columns)), counts)
+    slots[:, -1] = 1
+    text = slots.tobytes().translate(None, b"\0").decode().split("\x01")
     ends = np.cumsum(counts).tolist()
     return [
         (keys, np.array(text[end - len(keys) : end], dtype=object))

@@ -220,9 +220,9 @@ _EDGES += [1e15 + 0.75, 1e16, -1e16, 1e-4, 1e17]
 _EDGES += [np.nextafter(b, t) for b in (1e-4, 1e17) for t in (0.0, np.inf)]
 
 
-def _slot_text(values, pad=io._NUMPY_MIN):
-    # padded with in-range values, so that the batch takes the numpy path;
-    # pad=0 leaves a small batch to `%`
+def _slot_text(values, pad=0):
+    # pad: in-range values after `values`, so that the values outside
+    # [1e-4, 1e17) share their batch with the numpy path
     padded = np.concatenate((values, np.full(pad, 1 / 3)))
     text = [bytes(s).replace(b"\0", b"").decode() for s in io.float_slots(padded)]
     assert text[len(values) :] == ["0.33333333333333331"] * pad
@@ -232,7 +232,7 @@ def _slot_text(values, pad=io._NUMPY_MIN):
 @pytest.mark.parametrize("v", _EDGES)
 def test_float_slots_edges(v):
     assert _slot_text([v, -v]) == ["%.17g" % v, "%.17g" % -v]
-    assert _slot_text([v, -v], pad=0) == ["%.17g" % v, "%.17g" % -v]
+    assert _slot_text([v, -v], pad=1) == ["%.17g" % v, "%.17g" % -v]
 
 
 def test_float_slots_powers_of_ten():
@@ -244,18 +244,29 @@ def test_float_slots_powers_of_ten():
     assert _slot_text(values) == ["%.17g" % v for v in values.tolist()]
 
 
+# floats of the numpy range [1e-4, 1e17), either sign: raw bit patterns
+# and st.floats() over the whole exponent range seldom fall in it
+_IN_RANGE = st.builds(
+    lambda v, negative: -v if negative else v,
+    st.floats(1e-4, 1e17, exclude_max=True),
+    st.booleans(),
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50),
+    st.lists(_IN_RANGE, max_size=50),
 )
-def test_float_slots_match_percent(bits, floats):
-    # any float64: raw bit patterns (the non-finite ones dropped) and floats
+def test_float_slots_match_percent(bits, floats, in_range):
+    # any float64: raw bit patterns (the non-finite ones dropped), floats,
+    # and floats the digits are computed for in numpy
     values = np.array(bits, np.uint64).view(np.float64)
-    values = np.concatenate((values[np.isfinite(values)], floats))
+    values = np.concatenate((values[np.isfinite(values)], floats, in_range))
     expected = ["%.17g" % v for v in values.tolist()]
     assert _slot_text(values) == expected
-    assert _slot_text(values, pad=0) == expected
+    assert _slot_text(in_range) == ["%.17g" % v for v in in_range]
 
 
 def test_float_slots_across_chunks():
@@ -265,7 +276,7 @@ def test_float_slots_across_chunks():
     values = rng.random(9000) * 10.0 ** rng.integers(-7, 20, 9000)
     values[rng.random(9000) < 0.5] *= -1
     values[::97] = np.round(values[::97])
-    assert _slot_text(values, pad=0) == ["%.17g" % v for v in values.tolist()]
+    assert _slot_text(values) == ["%.17g" % v for v in values.tolist()]
 
 
 @pytest.mark.parametrize("top", [1, 10, 9999, 10**4, 10**8 + 1, 2**62])
