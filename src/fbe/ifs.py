@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from .addresses import Address, sigma, validate
 from .errors import DomainError, NoConvergenceError, ResolutionError
-from .maps import AffineMap, MoebiusMap, from_sphere, to_sphere
+from .maps import AffineMap, MoebiusMap, affine_image, from_sphere, to_sphere
 
 SPACE_DIMS = {"R1": 1, "R2": 2, "R4": 4, "sphere": 3}
 
@@ -234,8 +234,9 @@ def _resolved_cloud(
     return AttractorCloud(pts, eps, {"ifs_hash": ifs.ifs_hash(), **meta, **tail})
 
 
-# The most image points one step of `attractor` may make: admits triangle
-# at cell 1e-3 (2,005,084) and stops expanding systems before memory does.
+# The most image points one step of `attractor`, or the F(X) of a chaos
+# orbit, may make: admits triangle at cell 1e-3 (2,005,084) and stops
+# expanding systems and huge orbits before memory does.
 MAX_IMAGE_POINTS = 1 << 22
 # The most words a walk over all words of length <= depth may take: admits
 # depth 15 on two maps, 9 on three and 7 on four, past every depth of the
@@ -333,9 +334,6 @@ def _hutchinson_sets(ifs: IfsSystem, start: np.ndarray, cell: float):
         if len(moved) >= len(table):
             moved, signs = keys.unpack(table), np.ones(len(table), dtype=np.int64)
             counts = np.zeros(len(table), dtype=np.int64)
-        if len(moved) == 1:
-            # AffineMap may round a one-row batch apart from a larger one
-            moved, signs = np.repeat(moved, 2, axis=0), np.append(signs, 0)
         idx = np.floor(ifs.images((moved + 0.5) * cell) / cell).astype(np.int64)
         weights = np.tile(signs, ifs.n_maps)
         if not keys.covers(idx):
@@ -386,11 +384,9 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
     removed, n_{t+1} = n_t + (pairs from A) - (pairs from R), so the step
     transforms only A and R (or all of X_{t+1}, counted afresh, when A and
     R are as many), and X_{t+2} is the cells with n_{t+1} > 0.
-    The sets are the full iteration's as long as each image is the full
-    step's float. A point's image is the same in any batch of two or more
-    rows, and a lone row, which AffineMap can round apart, goes in as a
-    batch of two; the tests compare every set and byte with the full
-    iteration's. meta["changed"] records |A| + |R| per step.
+    A point's image is the same float in any batch, so the sets are the
+    full iteration's, as the tests check byte for byte. meta["changed"]
+    records |A| + |R| per step.
 
     Raises DomainError for a cell that is not a finite positive number and
     for a map with no attracting fixed point, NoConvergenceError, carrying
@@ -452,10 +448,9 @@ LANE_STEPS = 512
 
 def _lane_step(ifs: IfsSystem):
     """One orbit step on a batch of lanes, step(x, i, out): lane r goes to
-    f_{i[r] + 1}(x[r]), written to out. Each row is computed apart from the
-    others, by the float operations of a one-row step: a stacked matmul
-    (as A @ x, then + b) for affine maps, each Moebius map's apply_complex
-    on the plane values of its rows."""
+    f_{i[r] + 1}(x[r]), written to out, by the float operations of a one-row
+    step: affine_image with each lane's matrix and offset, or each Moebius
+    map's apply_complex on the plane values of its rows."""
     if ifs.is_sphere:
 
         def step(z, i, out):
@@ -467,11 +462,7 @@ def _lane_step(ifs: IfsSystem):
         return step
     mats = np.stack([m.matrix for m in ifs.maps])
     offs = np.stack([m.offset for m in ifs.maps])
-
-    def step(x, i, out):
-        np.add(np.matmul(mats[i], x[:, :, None])[..., 0], offs[i], out=out)
-
-    return step
+    return lambda x, i, out: affine_image(x, mats[i], offs[i], out)
 
 
 def _orbit(
@@ -584,10 +575,16 @@ def chaos_game(
 
     The orbit runs in lanes (_orbit); a sphere orbit stays in the plane
     and one to_sphere call embeds it. An orbit or image that leaves the
-    floats raises ResolutionError.
+    floats raises ResolutionError, as does an n whose F(X) would pass
+    MAX_IMAGE_POINTS rows, before any digit is drawn.
     """
     if not 0 <= burn_in < n:
         raise DomainError(f"need 0 <= burn_in < n, got burn_in={burn_in}, n={n}")
+    rows = n * ifs.n_maps
+    if rows > MAX_IMAGE_POINTS:
+        raise ResolutionError(
+            f"{n} chaos points would make {rows} images, cap {MAX_IMAGE_POINTS}"
+        )
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     digits = rng.integers(1, ifs.n_maps + 1, size=n)
     x0 = ifs.fixed_points()[0]

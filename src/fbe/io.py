@@ -108,10 +108,6 @@ def save_spec(ifs: IfsSystem, path) -> None:
 _WORD, _WORD8 = np.dtype("<u4"), np.dtype("<u8")
 _CHUNK = 4096  # values or rows per batch: every digit and slot buffer is this short
 _SLOT = 24  # bytes of a float's slot; "-2.2250738585072014e-308" fills it
-# A cloud of fewer values than this takes one `%` call: below it, the
-# numpy path's fixed cost (about 60 numpy calls, 0.1-0.2 ms) is about what
-# `%` takes (0.4-1 us a value)
-_NUMPY_MIN = 512
 _NO_TRAIL, _NO_LEAD, _NO_LEAD_0 = 1, 2, 3  # form 0 has all four digits
 
 
@@ -351,13 +347,8 @@ def _cloud_rows(points):
     4096 rows per chunk. A grid cloud, snapped to cell centres, has few
     distinct values per column (_grid_text): each is formatted once, and a
     chunk's rows are joined from that text. Other clouds are formatted a
-    chunk at a time into rows of float_slots, and a cloud of fewer than
-    _NUMPY_MIN values by one `%` call."""
+    chunk at a time into rows of float_slots."""
     n, d = points.shape
-    if points.size < _NUMPY_MIN:
-        row = " ".join(["%.17g"] * d) + "\n"
-        yield (row * n % tuple(points.ravel().tolist())).encode()
-        return
     columns = points.T
     tables = _grid_text(columns)
     for s in range(0, n, _CHUNK):

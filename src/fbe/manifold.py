@@ -261,13 +261,7 @@ def _gluing_points(
     cand = inside[d_far <= 2 * tau]
     if cand.shape[0] == 0:
         return []
-    # one coding_map call per junction: a batched word application can
-    # round the last bit differently
-    junctions = [
-        coding_map(ifs, Address((i,), (j,)))
-        for j in range(1, ifs.n_maps + 1)
-        if j != i
-    ]
+    junctions = ifs.transform(i, np.delete(ifs.fixed_points(), i - 1, axis=0))
     out = []
     for centre in _cluster_1d_or_nd(cand, 8 * tau):
         q = min(junctions, key=lambda q: np.linalg.norm(q - centre), default=centre)

@@ -54,6 +54,22 @@ def from_sphere(pts: np.ndarray) -> np.ndarray:
 # -- affine maps ---------------------------------------------------------------
 
 
+def affine_image(pts: np.ndarray, matrix: np.ndarray, offset: np.ndarray, out=None):
+    """Rows x -> M x + b, coordinate k ((x_0 M[k,0] + x_1 M[k,1]) + ...) + b[k],
+    one rounded ufunc call per product and sum (no BLAS, no fused multiply-add),
+    so a row's image depends on that row alone; M and b may lead with a row axis."""
+    d = matrix.shape[-1]
+    if pts.shape[-1] != d:
+        raise ValueError(f"{pts.shape[-1]} coordinates for a {d}-d map")
+    out = np.empty(pts.shape) if out is None else out
+    for k in range(d):  # column by column: each ufunc call runs over all rows
+        acc = pts[..., 0] * matrix[..., k, 0]
+        for j in range(1, d):
+            acc += pts[..., j] * matrix[..., k, j]
+        np.add(acc, offset[..., k], out=out[..., k])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class AffineMap:
     """x -> matrix @ x + offset on R^d."""
@@ -75,7 +91,7 @@ class AffineMap:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts @ self.matrix.T + self.offset
+        return affine_image(pts, self.matrix, self.offset)
 
     def inverse(self) -> "AffineMap":
         inv = np.linalg.inv(self.matrix)

@@ -8,10 +8,12 @@ cannot silently pass. Two exceptions use the library on purpose:
 `chordal_distance` measures through its sphere embedding, which tests
 check against the closed-form chordal metric, `full_iteration` steps
 with its maps and `grid_dedup`, since it checks how `attractor`
-iterates, not the maps or the snapping, and `sequential_orbit` steps
-with its maps' coefficients and `apply_complex`, since it checks how
-`chaos_game` batches the orbit, not the maps. `format_rows` is Python's
-`%` formatting, the reference for the library's numpy number text.
+iterates, not the maps or the snapping, and `sequential_orbit` steps a
+sphere orbit with `apply_complex`, since it checks how `chaos_game`
+batches the orbit, not the maps. `affine_row`, with which it steps an
+affine orbit, is the affine formula in Python floats, the reference for
+`fbe.maps.affine_image`. `format_rows` is Python's `%` formatting, the
+reference for the library's numpy number text.
 """
 
 from __future__ import annotations
@@ -300,24 +302,35 @@ def full_iteration(ifs, cell: float):
     return fbe.ifs._resolved_cloud(ifs, pts, cell, meta)
 
 
+def affine_row(matrix, offset, x) -> list[float]:
+    """M x + b for one point in Python floats, each coordinate
+    ((x_0 M[k,0] + x_1 M[k,1]) + ...) + b[k], one IEEE rounding per
+    operation: no numpy, no BLAS and no fused multiply-add. Each argument
+    is a list of floats (the matrix one per row)."""
+    out = []
+    for row, b in zip(matrix, offset):
+        s = x[0] * row[0]
+        for xj, m in zip(x[1:], row[1:]):
+            s = s + xj * m
+        out.append(s + b)
+    return out
+
+
 def sequential_orbit(ifs, digits, x0) -> np.ndarray:
     """The orbit x_k = f_{digits[k]}(x_{k-1}) from x_{-1} = x0, one step at
     a time: the reference for `fbe.ifs._orbit`'s lanes. An affine step is
-    the matmul and add of A @ x + b into preallocated rows; a sphere orbit
-    stays in the plane (x0 is a complex value), each step one map's
-    apply_complex on a one-element array."""
+    `affine_row`; a sphere orbit stays in the plane (x0 is a complex
+    value), each step one map's apply_complex on a one-element array."""
     if ifs.is_sphere:
         zs, z = np.empty(len(digits), dtype=complex), np.atleast_1d(x0)
         for k, d in enumerate(digits):
             z = ifs.maps[d - 1].apply_complex(z)
             zs[k] = z[0]
         return zs
-    mats = [m.matrix for m in ifs.maps]
-    offs = [m.offset for m in ifs.maps]
-    orbit, buf, x = np.empty((len(digits), ifs.dim)), np.empty(ifs.dim), x0
+    maps = [(m.matrix.tolist(), m.offset.tolist()) for m in ifs.maps]
+    orbit, x = np.empty((len(digits), ifs.dim)), np.asarray(x0, dtype=float).tolist()
     for k, d in enumerate(np.asarray(digits).tolist()):
-        np.matmul(mats[d - 1], x, out=buf)
-        x = np.add(buf, offs[d - 1], out=orbit[k])
+        x = orbit[k] = affine_row(*maps[d - 1], x)
     return orbit
 
 

@@ -4,6 +4,13 @@ A change that claims byte-identical artifacts must leave these hashes as
 they are. They were recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64;
 another numpy or BLAS may round a last bit differently, and a mismatch
 there is a platform difference to confirm, not by itself a defect.
+
+Affine images do not depend on the BLAS kernel (fbe.maps.affine_image),
+but `AffineMap.lipschitz` takes `np.linalg.svd`, which does: with
+`OPENBLAS_CORETYPE` set to Sandybridge, Haswell or SkylakeX, quadratic_graph's
+lam reads ...2075, ...2076 or ...2077 in its last digits, so the epsilon in
+the header line of `quadratic_graph.cloud` (and only that line) differs, and
+that pin fails under the first two kernels.
 """
 
 import hashlib
@@ -148,18 +155,18 @@ def test_golden_cloud(tmp_path, capsys, name):
 # The cloud writer's paths (io._cloud_rows), each pinned above: grid clouds
 # join their rows from the text of each distinct value; other clouds are
 # formatted into rows of float_slots, whose numpy digits also place the
-# point for |v| >= 1 and whose values outside [1e-4, 1e17) take `%`; a
-# cloud of fewer than io._NUMPY_MIN values takes one `%` call
+# point for |v| >= 1 and whose values outside [1e-4, 1e17) take `%`
 WRITER_PATHS = {
     "grid": ["koch.cloud", "quadratic_graph.cloud", "sierpinski.cloud"],
     "slots": [
         "chaos-mobius_arc.cloud",
         "chaos-sierpinski.cloud",
         "continuation-interval.cloud",
+        "interval.cloud",
+        "projective_line.cloud",
     ],
-    "slots, |v| >= 1": ["continuation-interval.cloud"],
+    "slots, |v| >= 1": ["continuation-interval.cloud", "interval.cloud"],
     "slots, outside [1e-4, 1e17)": ["chaos-mobius_arc.cloud", "chaos-sierpinski.cloud"],
-    "one %": ["interval.cloud", "projective_line.cloud"],
 }
 
 
@@ -171,9 +178,7 @@ def test_golden_clouds_cover_every_writer_path(tmp_path, capsys):
         _run(argv + ["--out", str(tmp_path / name)])
         ifs = systems.by_name(argv[argv.index("--ifs") + 1])
         pts = io.load_cached(tmp_path / name, ifs).points
-        if pts.size < io._NUMPY_MIN:
-            paths = ["one %"]
-        elif io._grid_text(pts.T) is not None:
+        if io._grid_text(pts.T) is not None:
             paths = ["grid"]
         else:
             a = abs(pts)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,27 +147,22 @@ def _outcome(build, ifs, cell):
     return cloud.points.tobytes(), cloud.epsilon, cloud.meta
 
 
-@pytest.mark.parametrize("coarser", [1, 2])
-@pytest.mark.parametrize("name", sorted(systems.SYSTEMS))
+# interpolation at 2^-9 ends in a run of one-cell steps, each transforming
+# one row where the full step transforms them all
+FULL_ITERATION_CASES = [(n, c) for n in sorted(systems.SYSTEMS) for c in (1, 2)]
+FULL_ITERATION_CASES.append(("interpolation", 0.25))
+
+
+@pytest.mark.parametrize("name, coarser", FULL_ITERATION_CASES)
 def test_attractor_equals_full_iteration(name, coarser):
     # the delta steps make the full steps' sets: the same points, epsilon,
     # sizes, depth and cycle, and "changed" is each step's symmetric difference
     cell = coarser * FIXED_POINT_CELLS.get(name, 2.0**-7)
     ifs = systems.by_name(name)
-    assert _outcome(attractor, ifs, cell) == _outcome(full_iteration, ifs, cell)
-
-
-def test_attractor_transforms_no_one_row_batch(monkeypatch):
-    # AffineMap can round a one-row batch apart from a larger one, and
-    # interpolation at 2^-9 ends in a run of one-cell steps
-    batches, call = [], AffineMap.__call__
-    monkeypatch.setattr(
-        AffineMap, "__call__", lambda m, pts: batches.append(len(pts)) or call(m, pts)
-    )
-    ifs = systems.interpolation()
-    assert attractor(ifs, 2.0**-9).meta["changed"][-6:] == [1, 1, 1, 1, 1, 0]
-    assert min(batches) == 2
-    assert _outcome(attractor, ifs, 2.0**-9) == _outcome(full_iteration, ifs, 2.0**-9)
+    outcome = _outcome(attractor, ifs, cell)
+    assert outcome == _outcome(full_iteration, ifs, cell)
+    if coarser < 1:
+        assert outcome[2]["changed"][-6:] == [1, 1, 1, 1, 1, 0]
 
 
 def test_attractor_wide_cell_range_equals_full_iteration():
@@ -343,15 +339,13 @@ def test_chaos_game_sphere():
 
 @pytest.mark.parametrize("name", ["interval", "sierpinski", "koch", "quadratic_graph"])
 def test_chaos_orbit_matches_reference_loop(name):
-    # the orbit is the sequence x <- A @ x + b, bit for bit
+    # the orbit is the sequence x <- M x + b stepped in Python floats, bit
+    # for bit
     ifs = systems.by_name(name)
     digits = np.random.Generator(np.random.PCG64(2)).integers(1, ifs.n_maps + 1, 3000)
-    x, ref = ifs.fixed_points()[0], []
-    for d in digits:
-        x = ifs.maps[d - 1].matrix @ x + ifs.maps[d - 1].offset
-        ref.append(x)
+    ref = sequential_orbit(ifs, digits, ifs.fixed_points()[0])
     orbit = chaos_game(ifs, 3000, rng_seed=2)
-    assert orbit.points.tobytes() == np.array(ref[64:]).tobytes()
+    assert orbit.points.tobytes() == ref[64:].tobytes()
 
 
 @pytest.mark.parametrize("name", ["mobius_arc", "projective_line", "schottky"])
@@ -522,6 +516,23 @@ def test_orbit_lanes_through_a_moebius_pole(lane):
     ref = sequential_orbit(ifs, digits, x0)
     assert np.isinf(ref).sum() == 5 and (ref == 0).any()
     assert fbe.ifs._orbit(ifs, digits, x0, lane)[0].tobytes() == ref.tobytes()
+
+
+def test_chaos_game_refuses_orbits_past_the_image_cap(monkeypatch, sierpinski_ifs):
+    # refused before any digit is drawn: nothing of the orbit is allocated
+    tracemalloc.start()
+    try:
+        with _time_limit(1.0), pytest.raises(ResolutionError, match="cap 4194304"):
+            chaos_game(sierpinski_ifs, 10**13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # its digits alone would take 80 TB
+    # F(X) has n * n_maps rows: at the cap an orbit runs, one point past it not
+    monkeypatch.setattr(fbe.ifs, "MAX_IMAGE_POINTS", 3000)
+    assert len(chaos_game(sierpinski_ifs, 1000, burn_in=0).points) == 1000
+    with pytest.raises(ResolutionError, match="3003 images, cap 3000"):
+        chaos_game(sierpinski_ifs, 1001)
 
 
 def test_chaos_game_single_map():

@@ -739,6 +739,8 @@ def test_cli_malformed_value(capsys, argv):
         ["manifold", "leaves", "--ifs", "sierpinski", "--depth", "25"],  # word tree
         ["attractor", "--ifs", "cantor", "--chaos", "1000", "--burn-in", "-1"],
         ["attractor", "--ifs", "cantor", "--chaos", "0"],  # an orbit of no points
+        # F(X) of 10^13 points would pass the image cap
+        ["attractor", "--ifs", "sierpinski", "--chaos", "10000000000000"],
     ],
     ids=" ".join,
 )

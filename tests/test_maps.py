@@ -1,10 +1,20 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fbe
+from fbe import systems
 from fbe.errors import NonInvertibleMapError
 from fbe.maps import AffineMap, MoebiusMap, from_sphere, to_sphere
 
-from oracles import chordal_distance
+from oracles import affine_row, chordal_distance
 
 
 def test_affine_apply_and_inverse():
@@ -14,6 +24,72 @@ def test_affine_apply_and_inverse():
     assert np.allclose(out, [[5.0, 1.0], [1.0, -1.0]])
     back = m.inverse()(out)
     assert np.allclose(back, pts)
+
+
+def test_affine_refuses_rows_of_another_width():
+    m = AffineMap(np.eye(2), np.zeros(2))
+    for pts in (np.zeros((4, 3)), np.zeros(1), np.zeros((2, 1))):
+        with pytest.raises(ValueError):
+            m(pts)
+
+
+@st.composite
+def _affine_batch(draw):
+    """A random contractive affine map on R1, R2 or R4 (sigma_max <= 0.99),
+    a batch of 1 to 64 points, and a row of it."""
+    dim = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = (np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(2))
+    mat = u @ np.diag(rng.uniform(-0.99, 0.99, dim)) @ v
+    f = AffineMap(mat, rng.uniform(-1.0, 1.0, dim))
+    pts = rng.uniform(-3.0, 3.0, (draw(st.integers(1, 64)), dim))
+    return f, pts, draw(st.integers(0, len(pts) - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_affine_batch())
+def test_affine_row_is_the_same_in_any_batch(case):
+    # a row's image alone, inside the batch, inside the batch's tail from
+    # that row, and from the formula in Python floats: one float each
+    f, pts, r = case
+    batch = f(pts)
+    assert f(pts[r]).tobytes() == batch[r : r + 1].tobytes()
+    assert f(pts[r:]).tobytes() == batch[r:].tobytes()
+    mat, off = f.matrix.tolist(), f.offset.tolist()
+    ref = [affine_row(mat, off, x) for x in pts.tolist()]
+    assert batch.tobytes() == np.array(ref).tobytes()
+
+
+def _image_digest() -> str:
+    """sha256 of the images of 2,000 fixed points under each map and
+    inverse of koch, interpolation and quadratic_graph: each batch, then
+    its first 200 rows one call at a time."""
+    h = hashlib.sha256()
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, (2000, 4))
+    for name in ("koch", "interpolation", "quadratic_graph"):
+        ifs = systems.by_name(name)
+        x = pts[:, : ifs.dim]
+        for d in (d for i in range(1, ifs.n_maps + 1) for d in (i, -i)):
+            f = ifs.map_for(d)
+            h.update(f(x).tobytes())
+            for row in x[:200]:
+                h.update(f(row).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kernel", ["Sandybridge", "Haswell", "SkylakeX"])
+def test_affine_images_do_not_depend_on_the_blas_kernel(kernel):
+    # OpenBLAS picks its kernel when it loads, so a child interpreter runs
+    # under each; a pre-FMA kernel (Sandybridge) rounds a BLAS product apart
+    # from an FMA one, which affine_image never calls
+    path = [str(Path(fbe.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import test_maps; print(test_maps._image_digest())"
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert child.stdout.strip() == _image_digest()
 
 
 def test_affine_fixed_point():
