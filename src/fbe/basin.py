@@ -20,7 +20,7 @@ from .addresses import Address
 from .errors import DomainError, ResolutionError
 from .ifs import AttractorCloud, IfsSystem, check_word_tree, coding_map
 from .io import int_rows
-from .maps import from_sphere
+from .maps import from_sphere, row_distances
 
 Word = tuple[int, ...]
 
@@ -339,7 +339,7 @@ def membership(
         for j in np.flatnonzero(~far):
             word = words[j]
             pulled = ifs.apply_word(tuple(-d for d in reversed(word)), cloud.points)
-            d = float(np.linalg.norm(pulled - x, axis=1).min())
+            d = float(row_distances(pulled, x).min())
             if d <= tol:
                 return MembershipResult("yes", word, k, tol, d)
     return MembershipResult("no_up_to_depth", None, depth, tol, None)

@@ -15,7 +15,14 @@ from scipy.spatial import cKDTree
 
 from .addresses import Address, sigma, validate
 from .errors import DomainError, NoConvergenceError, ResolutionError
-from .maps import AffineMap, MoebiusMap, affine_image, from_sphere, to_sphere
+from .maps import (
+    AffineMap,
+    MoebiusMap,
+    affine_image,
+    from_sphere,
+    row_distances,
+    to_sphere,
+)
 
 SPACE_DIMS = {"R1": 1, "R2": 2, "R4": 4, "sphere": 3}
 
@@ -306,26 +313,53 @@ class _RowKeys:
         return rows
 
 
+def _set_hash(rows: np.ndarray, signs: np.ndarray | None = None) -> int:
+    """A 64-bit hash of a set of int64 cell rows: the wrapping sum of a
+    multiply-xorshift hash of each row, times its sign (+1 or -1) when
+    signs are given. A sum moves by the hashes of the rows added and
+    removed alone (an incremental multiset hash, Clarke et al. 2003), so
+    a set that changes by a few cells is hashed by a few."""
+    cols = rows.view(np.uint64).T
+    h = cols[0] * np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 over the golden ratio
+    for col in cols[1:]:
+        h ^= h >> np.uint64(29)  # the product's high bits down
+        h ^= col
+        h *= np.uint64(0x9E3779B97F4A7C15)
+    h ^= h >> np.uint64(29)
+    if signs is not None:
+        h *= signs.view(np.uint64)  # -1 is 2^64 - 1
+    return int(h.sum())
+
+
 def _hutchinson_sets(ifs: IfsSystem, start: np.ndarray, cell: float):
-    """Yield X_1, X_2, ... with X_{t+1} = S(X_t) = grid_dedup(F(X_t), cell)
-    and X_0 = grid_dedup(start, cell), each with the number of cells it
-    added and removed; refuse a step past MAX_IMAGE_POINTS images.
+    """Yield X_0 = grid_dedup(start, cell), X_1, X_2, ... with X_{t+1} =
+    S(X_t) = grid_dedup(F(X_t), cell), each as (hash, size, changed,
+    points): its _set_hash, its number of cells, the number of cells the
+    step added and removed (None for X_0), and a function that makes its
+    points, bit for bit grid_dedup's; refuse a step past MAX_IMAGE_POINTS
+    images.
 
     `table` holds X_t as the sorted `_RowKeys` keys of its int64 cell rows,
     and `counts` for each cell the number of pairs (x, i), x in X_{t-1},
     with f_i(x) in it, so X_t is the cells with a count above 0. A step
     transforms the cells the previous step added (their images count +1)
-    and removed (-1), and merges the summed signs into the table with one
-    sorted search. When those cells are at least as many as X_t, as for
-    X_0, the step counts all of X_t afresh from zero instead: the same
-    merge, with fewer images. That also holds a step's images to
-    n_maps * |X_t|, the count the MAX_IMAGE_POINTS check reads.
+    and removed (-1), merges the summed signs into the table with one
+    sorted search, and moves the hash by the same cells. When those cells
+    are at least as many as X_t, as for X_0, the step counts all of X_t
+    afresh from zero instead: the same merge, with fewer images. That also
+    holds a step's images to n_maps * |X_t|, the count the
+    MAX_IMAGE_POINTS check reads.
     """
     idx = np.floor(start / cell).astype(np.int64)
     keys = _RowKeys(idx.min(axis=0), idx.max(axis=0))
     table = np.unique(keys.pack(idx))
     moved = keys.unpack(table)
+    digest, changed = _set_hash(moved), None
     while True:
+        def points(t=table, k=keys):
+            return (k.unpack(t) + 0.5) * cell
+
+        yield digest, len(table), changed, points
         rows = ifs.n_maps * len(table)
         if rows > MAX_IMAGE_POINTS:
             raise ResolutionError(
@@ -358,12 +392,14 @@ def _hutchinson_sets(ifs: IfsSystem, start: np.ndarray, cell: float):
         old[old] = table[at[old]] == wanted[old]
         counts[at[old]] += sums[old]
         gone, new = np.flatnonzero(counts == 0), ~old
-        moved = keys.unpack(np.concatenate([wanted[new], table[gone]]))
-        signs = np.repeat(np.array([1, -1], dtype=np.int64), [new.sum(), len(gone)])
+        added = wanted[new]
+        moved = keys.unpack(np.concatenate([added, table[gone]]))
+        signs = np.repeat(np.array([1, -1], dtype=np.int64), [len(added), len(gone)])
+        changed = len(moved)
+        digest = (digest + _set_hash(moved, signs)) % (1 << 64)
         at = at[new] - np.searchsorted(gone, at[new])
-        table = np.insert(np.delete(table, gone), at, wanted[new])
+        table = np.insert(np.delete(table, gone), at, added)
         counts = np.insert(np.delete(counts, gone), at, sums[new])
-        yield (keys.unpack(table) + 0.5) * cell, len(moved)
 
 
 def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
@@ -372,9 +408,12 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
     S(U) = U exactly.
 
     S maps a finite grid into itself, so the orbit ends in a fixed point or
-    a cycle (Dubuc & Elqortobi 1990). A repeat is found by sha256 and
-    confirmed by exact comparison. Snapping moves a point by at most
-    delta = cell*sqrt(d)/2 <= cell (d <= 4), so with Lip(F) <= lam,
+    a cycle (Dubuc & Elqortobi 1990). A step that changes no cell reaches
+    the fixed point, exactly. A longer cycle is found by a repeat of the
+    sets' running 64-bit hash (_set_hash) and confirmed by taking its
+    period of steps again and comparing the points exactly. Snapping moves
+    a point by at most delta = cell*sqrt(d)/2 <= cell (d <= 4), so with
+    Lip(F) <= lam,
     H(U, A) <= H(S(U), F(U)) + H(F(U), F(A)) <= delta + lam * H(U, A)
     and epsilon = cell/(1 - lam) bounds H(U, A).
 
@@ -386,7 +425,8 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
     R are as many), and X_{t+2} is the cells with n_{t+1} > 0.
     A point's image is the same float in any batch, so the sets are the
     full iteration's, as the tests check byte for byte. meta["changed"]
-    records |A| + |R| per step.
+    records |A| + |R| per step. Points are made only for the result, a
+    cycle's sets and the NoConvergenceError residual.
 
     Raises DomainError for a cell that is not a finite positive number and
     for a map with no attracting fixed point, NoConvergenceError, carrying
@@ -395,40 +435,41 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
     """
     if not 0.0 < cell < np.inf:
         raise DomainError(f"cell must be a finite positive number, got {cell!r}")
-    start = ifs.fixed_points()
-    pts = grid_dedup(start, cell)
-    orbit = _hutchinson_sets(ifs, start, cell)
-    seen: dict[bytes, int] = {}
+    sets = _hutchinson_sets(ifs, ifs.fixed_points(), cell)
+    digest, _, _, points = next(sets)
+    seen: dict[int, int] = {}
     prev, sizes, changed = None, [], []
 
-    def step() -> np.ndarray:
-        nxt, moved = next(orbit)
-        sizes.append(len(nxt))
+    def step():
+        digest, size, moved, points = next(sets)
+        sizes.append(size)
         changed.append(moved)
-        return nxt
+        return digest, points
 
     while True:
         steps = len(sizes)
-        period = steps - seen.setdefault(hashlib.sha256(pts).digest(), steps)
-        if period == 1 and np.array_equal(pts, prev):
+        period = steps - seen.setdefault(digest, steps)
+        if steps and not changed[-1]:  # S(X) = X, found exactly
+            pts, period = points(), 1
             break
         if period > 1:
-            cycle = [pts]
+            cycle = [points]
             for _ in range(period):
-                cycle.append(step())
-            prev, pts = cycle[-2:]
-            if np.array_equal(pts, cycle[0]):
-                pts = grid_dedup(np.concatenate(cycle[:-1]), cell)
+                digest, points = step()
+                cycle.append(points)
+            prev = cycle[-2]
+            if np.array_equal(points(), cycle[0]()):
+                pts = grid_dedup(np.concatenate([c() for c in cycle[:-1]]), cell)
                 break
         elif steps == MAX_STEPS:
-            residual = np.inf if prev is None else hausdorff_distance(pts, prev)
+            residual = np.inf if prev is None else hausdorff_distance(points(), prev())
             raise NoConvergenceError(
                 f"no repeated set after {steps} iterations (residual {residual:.3g})",
                 residual=residual,
             )
         else:
-            prev = pts  # the older set is freed before the step, not after it
-            pts = step()
+            prev = points  # the older set is freed before the step, not after it
+            digest, points = step()
     meta = {
         "method": "hutchinson",
         "depth": len(sizes),
@@ -444,6 +485,10 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
 # of a contraction forget their guessed starts within one lane, short
 # enough that ~n / LANE_STEPS rows share each batched step.
 LANE_STEPS = 512
+# Leaf positions per chunk of _orbit_residual's first direction, and the
+# rows it queries exactly while its maximum is 0.
+_CHUNK = 1 << 14
+_SEEDS = 64
 
 
 def _lane_step(ifs: IfsSystem):
@@ -523,36 +568,73 @@ def _orbit_residual(
     u_j <= h/2, h the maximum found so far, cannot raise the maximum and is
     not queried; the margin of 1/2 covers rounding, and a NaN u_j is
     queried. out[0] has no twin; its bound is its brute-force distance to
-    the nearest row of imgs. The first direction queries the tree of out
-    with the other rows, map by map, then with the twins that fail the
-    bound; the second queries the tree of imgs with the rows of out that
-    fail it, and builds that tree only if there are any. Every distance
-    taken is a tree query's, so the result is the same float as
-    hausdorff_distance.
+    the nearest row of imgs.
+
+    A row f_i(out[j]) that is no twin has a bound too: out[k + 1] =
+    f_i(out[k]) is a point of out for each k with digits[k] = i, so its
+    distance to the nearest such out[k + 1], k taken before and after j in
+    the leaf order of the tree of out (a near point), bounds the row's
+    distance to out (Taha & Hanbury 2015 skip rows that cannot raise the
+    maximum likewise). The first direction works map by map, in chunks of
+    leaf positions: it queries exactly the rows with the largest bounds
+    while h is 0, skips the rows whose bound is below h by a relative
+    1e-12 (rounding) and 1e-160 (squares that underflow), queries the
+    others with distance_upper_bound=h and again without a bound those
+    that come back inf, at or past h; then it queries the twins that fail
+    their bound. The second direction queries the tree of imgs with the
+    rows of out that fail theirs, and builds that tree only if there are
+    any. Every distance taken into h is a tree query's, so the result is
+    the same float as hausdorff_distance.
     """
     n = out.shape[0]
     twins = (digits - 1) * n + np.arange(n - 1)
     u = np.empty(n)
     # out[0]'s bound, map by map as below
     u[0] = min(
-        np.linalg.norm(imgs[s : s + n] - out[0], axis=1).min()
-        for s in range(0, len(imgs), n)
+        row_distances(imgs[s : s + n], out[0]).min() for s in range(0, len(imgs), n)
     )
-    u[1:] = np.linalg.norm(out[1:] - imgs[twins], axis=1)
+    u[1:] = row_distances(out[1:], np.take(imgs, twins, axis=0))
     # an unbalanced tree builds faster, shrunk node boxes pay for
     # themselves over this tree's many queries, and a query is exact on
     # any tree shape, so every distance keeps its bits
     tree = cKDTree(out, balanced_tree=False)
-    # map by map, so that no copy of two thirds of imgs is made at once,
-    # and in the tree's leaf order, so that successive queries, images of
-    # nearby points, walk the same nodes
-    nxt = np.append(digits, 0)  # the images of out[n - 1] have no twin
     leaf = tree.indices
+    nxt = np.append(digits, 0)[leaf]  # the next digit at each leaf position
     h, first = 0.0, 0
-    for i in range(imgs.shape[0] // n):
-        others = imgs[i * n + leaf[nxt[leaf] != i + 1]]
-        h = max(h, tree.query(others, workers=-1)[0].max())
-        first += len(others)
+    for i in range(1, imgs.shape[0] // n + 1):
+        block = imgs[(i - 1) * n : i * n]
+        # the leaf positions p with f_i(out[leaf[p]]) = out[leaf[p] + 1],
+        # and those points of out, in leaf order
+        hit = nxt == i
+        near = np.take(out, leaf[hit] + 1, axis=0)
+        before = 0
+        for s in range(0, n, _CHUNK):
+            # the chunk's rows that are no twin, in leaf order, so that
+            # successive queries, images of nearby points, walk the same
+            # nodes (np.take gathers rows several times faster than [])
+            ranks = np.cumsum(hit[s : s + _CHUNK]) + before
+            before = ranks[-1]
+            keep = np.flatnonzero(~hit[s : s + _CHUNK])
+            rows = np.take(block, leaf[s + keep], axis=0)
+            # the nearest hits before and after a row are near[rank - 1]
+            # and near[rank]; clipped, a hit still gives a bound
+            bound = np.full(len(rows), np.inf)
+            for k in (ranks[keep] - 1, ranks[keep]) if len(near) else ():
+                k = np.take(near, np.clip(k, 0, len(near) - 1), axis=0)
+                np.minimum(bound, row_distances(rows, k), out=bound)
+            # these queries are small: one thread each
+            if not h and len(rows):
+                top = np.argsort(bound)[-_SEEDS:]
+                h = tree.query(rows[top])[0].max()
+                first += len(top)
+                bound[top] = -np.inf  # their distances are in h
+            rows = rows[~(bound < h * (1 - 1e-12) - 1e-160)]
+            if len(rows):
+                # every row comes back inf from a bound of 0: query without one
+                d = tree.query(rows, distance_upper_bound=h or np.inf)[0]
+                first += len(rows)
+                if np.isinf(d).any():
+                    h = max(h, tree.query(rows[np.isinf(d)])[0].max())
     far = twins[~(u[1:] <= h / 2)]
     if far.size:
         h = max(h, tree.query(imgs[far], workers=-1)[0].max())

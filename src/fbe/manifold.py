@@ -22,6 +22,7 @@ from .errors import (
     EmptyLeafError,
 )
 from .ifs import AttractorCloud, IfsSystem, check_word_tree, coding_map
+from .maps import row_distances
 
 Word = tuple[int, ...]
 
@@ -161,9 +162,7 @@ def distance(
     if on_one_sheet(a, b):
         return ManifoldDistance(d_X, d_X, common, bound)
     pts = ifs.apply_word(common, cloud.points)
-    tot = np.linalg.norm(pts - a.proj, axis=1) + np.linalg.norm(
-        pts - b.proj, axis=1
-    )
+    tot = row_distances(pts, a.proj) + row_distances(pts, b.proj)
     return ManifoldDistance(float(tot.min()), d_X, common, bound)
 
 
@@ -232,7 +231,7 @@ def _cluster_1d_or_nd(points: np.ndarray, radius: float) -> list[np.ndarray]:
     centres = []
     while remaining.shape[0]:
         seed = remaining[0]
-        mask = np.linalg.norm(remaining - seed, axis=1) <= radius
+        mask = row_distances(remaining, seed) <= radius
         centres.append(remaining[mask].mean(axis=0))
         remaining = remaining[~mask]
     return centres

@@ -33,7 +33,7 @@ from .manifold import (
     manifold_point,
     on_one_sheet,
 )
-from .maps import to_sphere
+from .maps import row_distances, to_sphere
 
 
 @dataclass
@@ -270,7 +270,7 @@ def run_verify(
             base = cloud.points
             if theta:
                 base = base[_leaf_index(ifs, cloud, -theta[-1])[1]]
-            drift = float(np.linalg.norm(back - base, axis=1).max())
+            drift = float(row_distances(back, base).max())
             shapes.add(theta[-1:] if drift <= 3 * eps else theta)
         return len(shapes) - (ifs.n_maps + 1)
 

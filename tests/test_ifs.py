@@ -113,11 +113,16 @@ def test_attractor_single_map():
 
 
 def test_attractor_no_convergence(cantor_ifs, monkeypatch):
-    # cantor at 3^-8 repeats after 8 steps
+    # cantor at 3^-8 repeats after 8 steps; the residual is the full
+    # iteration's H(X_4, X_3)
     monkeypatch.setattr(fbe.ifs, "MAX_STEPS", 4)
     with pytest.raises(NoConvergenceError, match="after 4 iterations") as ei:
         attractor(cantor_ifs, 3.0**-8)
     assert 0.0 < ei.value.residual < np.inf
+    with pytest.raises(NoConvergenceError) as ref:
+        full_iteration(cantor_ifs, 3.0**-8)
+    assert ei.value.residual == ref.value.residual
+    assert str(ei.value) == str(ref.value)
 
 
 # each built-in's cell in the tests below, 2^-7 unless named
@@ -148,9 +153,11 @@ def _outcome(build, ifs, cell):
 
 
 # interpolation at 2^-9 ends in a run of one-cell steps, each transforming
-# one row where the full step transforms them all
+# one row where the full step transforms them all; koch at 2^-8 ends in a
+# 2-cycle, found by a repeat of the running set hash and confirmed by two
+# more steps
 FULL_ITERATION_CASES = [(n, c) for n in sorted(systems.SYSTEMS) for c in (1, 2)]
-FULL_ITERATION_CASES.append(("interpolation", 0.25))
+FULL_ITERATION_CASES += [("interpolation", 0.25), ("koch", 0.5)]
 
 
 @pytest.mark.parametrize("name, coarser", FULL_ITERATION_CASES)
@@ -161,7 +168,7 @@ def test_attractor_equals_full_iteration(name, coarser):
     ifs = systems.by_name(name)
     outcome = _outcome(attractor, ifs, cell)
     assert outcome == _outcome(full_iteration, ifs, cell)
-    if coarser < 1:
+    if name == "interpolation" and coarser < 1:
         assert outcome[2]["changed"][-6:] == [1, 1, 1, 1, 1, 0]
 
 
@@ -247,6 +254,21 @@ def test_attractor_koch_two_cycle(koch_ifs):
     with _time_limit(30.0):
         cloud = attractor(koch_ifs, 1e-3)
     assert cloud.meta["cycle"] == 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ifs=_contractive_affine())
+def test_hutchinson_running_hash_is_the_sets_hash(ifs):
+    # after every step the hash moved by the added and removed cells is
+    # the hash of the set computed afresh, and the size is the set's
+    cell = 2.0**-6
+    sets = fbe.ifs._hutchinson_sets(ifs, ifs.fixed_points(), cell)
+    for _ in range(60):
+        digest, size, changed, points = next(sets)
+        rows = np.floor(points() / cell).astype(np.int64)
+        assert digest == fbe.ifs._set_hash(rows) and size == len(rows)
+        if changed == 0:
+            break
 
 
 def _shears() -> IfsSystem:
@@ -393,7 +415,26 @@ def _orbit(ifs, digits, start=None):
     return np.array(out)
 
 
-def test_orbit_residual_queries_far_rows(sierpinski_ifs):
+@pytest.fixture
+def query_log(monkeypatch):
+    """The rows each query of a `fbe.ifs` KD-tree asked for, by the size
+    of the tree: log[tree.n] is a list of row arrays."""
+    log: dict[int, list] = {}
+
+    class Logged(cKDTree):
+        def query(self, x, *args, **kwargs):
+            log.setdefault(self.n, []).append(np.array(x, ndmin=2))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(fbe.ifs, "cKDTree", Logged)
+    return log
+
+
+def _was_queried(log, size, row) -> bool:
+    return any((rows == row).all(axis=1).any() for rows in log.get(size, []))
+
+
+def test_orbit_residual_queries_far_rows(sierpinski_ifs, query_log):
     # a row moved off the attractor lies farther from F(out) than any
     # image lies from out, and its twin bound fails: it must be queried
     rng = np.random.default_rng(3)
@@ -404,9 +445,10 @@ def test_orbit_residual_queries_far_rows(sierpinski_ifs):
     exact = hausdorff_distance(imgs, out)
     assert exact > cKDTree(out).query(imgs)[0].max()
     assert fbe.ifs._orbit_residual(imgs, out, digits)[0] == exact
+    assert _was_queried(query_log, len(imgs), out[500])
 
 
-def test_orbit_residual_queries_far_twin(sierpinski_ifs):
+def test_orbit_residual_queries_far_twin(sierpinski_ifs, query_log):
     # a twin image moved left of the orbit holds the first direction's
     # maximum alone, moved by 1.0 and by 1.5x the other rows' maximum h,
     # which a twin bound of u <= 2h would skip; it is queried both ways
@@ -424,12 +466,17 @@ def test_orbit_residual_queries_far_twin(sierpinski_ifs):
         imgs[twins[j], 0] -= shift
         first = cKDTree(out).query(imgs)[0]
         assert first.argmax() == twins[j] and np.delete(first, twins[j]).max() == h
+        query_log.clear()
         residual, queried = fbe.ifs._orbit_residual(imgs, out, digits)
         assert residual == hausdorff_distance(imgs, out) == first.max()
-        assert queried == [len(imgs) - len(twins) + 1, 1]
+        # 64 seeds, the non-twin rows whose leaf-neighbour bound fails, and
+        # the far twin; the orbit point out[j + 1] the other way
+        assert queried == [180, 1]
+        assert _was_queried(query_log, len(out), imgs[twins[j]])
+        assert _was_queried(query_log, len(imgs), out[j + 1])
 
 
-def test_orbit_residual_queries_far_start(sierpinski_ifs):
+def test_orbit_residual_queries_far_start(sierpinski_ifs, query_log):
     # an orbit started at (2, 2): out[0] lies farther from F(out) than any
     # image lies from out, and its brute-force bound fails, so the tree of
     # F(out) is built for it alone and holds the maximum
@@ -440,13 +487,56 @@ def test_orbit_residual_queries_far_start(sierpinski_ifs):
     assert exact == cKDTree(imgs).query(out[:1])[0][0] > cKDTree(out).query(imgs)[0].max()
     residual, queried = fbe.ifs._orbit_residual(imgs, out, digits)
     assert residual == exact and queried[1] == 1
+    assert _was_queried(query_log, len(imgs), out[0])
 
 
 def test_chaos_queried_counts(sierpinski_ifs):
-    # the twins of 4935 steps are skipped, and out[0]'s brute-force bound
-    # holds, so no tree of F(out) is built
+    # the twins of 4935 steps are skipped; of the 9873 rows that are no
+    # twin, the 64 seeds and the 451 whose leaf-neighbour bound fails are
+    # queried; out[0]'s brute-force bound holds, so no tree of F(out) is built
     orbit = chaos_game(sierpinski_ifs, 5000, rng_seed=1)
-    assert orbit.meta["queried"] == [3 * 4936 - 4935, 0]
+    assert orbit.meta["queried"] == [515, 0]
+
+
+def _residual_is_hausdorff(ifs, n, burn_in, seed, chunk=fbe.ifs._CHUNK):
+    """chaos_game's residual, with chunks of `chunk` leaf positions, is the
+    exact two-way Hausdorff distance of its orbit and F(orbit)."""
+    saved, fbe.ifs._CHUNK = fbe.ifs._CHUNK, chunk
+    try:
+        orbit = chaos_game(ifs, n, burn_in=burn_in, rng_seed=seed)
+    finally:
+        fbe.ifs._CHUNK = saved
+    exact = hausdorff_distance(_images(ifs, orbit.points), orbit.points)
+    assert orbit.meta["residual"] == exact
+    return orbit
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ifs=st.one_of(
+        _contractive_affine(),
+        st.sampled_from(["mobius_arc", "projective_line", "schottky"]).map(systems.by_name),
+    ),
+    n=st.integers(2, 4000),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([16, 300, fbe.ifs._CHUNK]),
+)
+def test_orbit_residual_is_hausdorff_on_random_orbits(ifs, n, seed, chunk):
+    _residual_is_hausdorff(ifs, n, min(64, n - 1), seed, chunk)
+
+
+def test_orbit_residual_edge_cases(sierpinski_ifs):
+    # one map: every row but the last point's image is a twin
+    half = AffineMap(np.array([[0.5, 0.1], [-0.1, 0.5]]), np.array([1.0, 0.0]))
+    _residual_is_hausdorff(IfsSystem("R2", (half,)), 3000, 10, 1, chunk=128)
+    # n = burn_in + 1: a one-point orbit, whose images have no twin
+    orbit = _residual_is_hausdorff(sierpinski_ifs, 65, 64, 1)
+    assert len(orbit.points) == 1
+    # an orbit at a fixed point of both maps: h = 0 throughout, so no row
+    # settles, and the queries take no bound
+    ifs = IfsSystem("R1", (AffineMap([[0.5]], [0.0]), AffineMap([[1 / 3]], [0.0])))
+    orbit = _residual_is_hausdorff(ifs, 3000, 64, 2, chunk=128)
+    assert orbit.meta["residual"] == 0.0 and not orbit.points.any()
 
 
 def test_chaos_rounds_counts(sierpinski_ifs):
@@ -533,6 +623,25 @@ def test_chaos_game_refuses_orbits_past_the_image_cap(monkeypatch, sierpinski_if
     assert len(chaos_game(sierpinski_ifs, 1000, burn_in=0).points) == 1000
     with pytest.raises(ResolutionError, match="3003 images, cap 3000"):
         chaos_game(sierpinski_ifs, 1001)
+
+
+def test_cloud_builds_stay_within_their_traced_peaks(sierpinski_ifs):
+    # the traced peaks of the cloud workload's sierpinski builds: the
+    # residual gathers F(X) chunk by chunk and the repeat test keeps no
+    # points, so a change that gathers it all at once or keeps each set's
+    # points fails here before the benchmark's peak_rss_mb moves
+    builds = [
+        (lambda: chaos_game(sierpinski_ifs, 100_000, rng_seed=1), 12.97),
+        (lambda: attractor(sierpinski_ifs, 1e-3), 11.45),
+    ]
+    for build, cap_mib in builds:
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap_mib * 2**20
 
 
 def test_chaos_game_single_map():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import fbe
 from fbe import systems
 from fbe.errors import NonInvertibleMapError
-from fbe.maps import AffineMap, MoebiusMap, from_sphere, to_sphere
+from fbe.maps import AffineMap, MoebiusMap, from_sphere, row_distances, to_sphere
 
 from oracles import affine_row, chordal_distance
 
@@ -90,6 +90,24 @@ def test_affine_images_do_not_depend_on_the_blas_kernel(kernel):
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert child.stdout.strip() == _image_digest()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_row_distances_equal_norm(dim):
+    # bit for bit np.linalg.norm(a - b, axis=1), also where a row holds
+    # inf, nan, -0.0 or a value whose square overflows, and against one point
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((500, dim)) * 10.0 ** rng.integers(-8, 8, (500, 1))
+    b = rng.standard_normal((500, dim))
+    for k, v in enumerate([np.inf, -np.inf, np.nan, -0.0, 1e200, -1e200]):
+        a[k, k % dim] = v
+        b[k + 10, -1] = v
+        a[k + 20], b[k + 20] = v, v
+    a[30:40], b[30:40] = -0.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for other in (b, b[7], b[3:4]):
+            ref = np.linalg.norm(a - other, axis=1)
+            assert row_distances(a, other).tobytes() == ref.tobytes()
 
 
 def test_affine_fixed_point():
