@@ -207,20 +207,60 @@ def grid_dedup(pts: np.ndarray, cell: float) -> np.ndarray:
     return (idx[keep] + 0.5) * cell
 
 
+def _max_nearest(rows: np.ndarray, pts: np.ndarray, bound: np.ndarray, h=None) -> float:
+    """max over r of the distance from rows[r] to the nearest point of pts,
+    and h if that is larger: the same float as a cKDTree query of every row.
+
+    bound[r] is the row_distances distance from rows[r] to some point of
+    pts, or inf. row_distances takes a distance with the float operations
+    of a cKDTree query, bit for bit on 1-4 columns, so bound[r] is at
+    least the row's nearest distance, and a row with bound[r] <= h, h a
+    nearest distance already taken, cannot raise the maximum and is not
+    queried (Taha & Hanbury 2015). Without h, h is the nearest distance of
+    the row with the largest bound, by brute force. The tree of pts is
+    built only if a row is left: the _SEEDS rows of largest bound are
+    queried first to raise h, the others still above h with
+    distance_upper_bound=h, and without a bound those that come back inf.
+    """
+    if h is None:
+        h = row_distances(pts, rows[np.argmax(bound)]).min()
+    live = np.flatnonzero(~(bound <= h))
+    if not live.size:
+        return float(h)
+    # unbalanced: it builds faster, and a query is exact on any tree shape
+    tree = cKDTree(pts, balanced_tree=False)
+    order = live[np.argsort(bound[live])]
+    h = max(h, tree.query(rows[order[-_SEEDS:]])[0].max())
+    rest = order[:-_SEEDS]
+    live = rest[~(bound[rest] <= h)]
+    if live.size:
+        d = tree.query(rows[live], distance_upper_bound=h, workers=-1)[0]
+        far = np.isinf(d)
+        if far.any():
+            d[far] = tree.query(rows[live[far]], workers=-1)[0]
+        h = max(h, d.max())
+    return float(h)
+
+
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Exact Hausdorff distance between finite point sets.
 
     Nearest-neighbour queries use a KD-tree; identical to the O(|a||b|)
     brute force. Each point's distance is computed alone, so the result
-    does not depend on the number of query threads.
+    does not depend on the number of query threads. The query of a's rows
+    gives each row of b that is some row's nearest point the distance to
+    that row as a bound, at most the first direction's maximum, so the
+    second direction queries only the orphan rows of b, nearest to no row
+    of a (see _max_nearest), and builds a's tree only for them.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise DomainError("hausdorff distance needs nonempty sets")
-    d_ab = cKDTree(b).query(a, workers=-1)[0].max()
-    d_ba = cKDTree(a).query(b, workers=-1)[0].max()
-    return float(max(d_ab, d_ba))
+    d, idx = cKDTree(b).query(a, workers=-1)
+    bound = np.full(b.shape[0], np.inf)
+    np.minimum.at(bound, idx, d)
+    return _max_nearest(b, a, bound, d.max())
 
 
 def _resolved_cloud(
@@ -486,7 +526,7 @@ def attractor(ifs: IfsSystem, cell: float = 1e-3) -> AttractorCloud:
 # enough that ~n / LANE_STEPS rows share each batched step.
 LANE_STEPS = 512
 # Leaf positions per chunk of _orbit_residual's first direction, and the
-# rows it queries exactly while its maximum is 0.
+# rows it (while its maximum is 0) and _max_nearest query first.
 _CHUNK = 1 << 14
 _SEEDS = 64
 

@@ -20,6 +20,7 @@ from .errors import DomainError, EmptyLeafError
 from .ifs import (
     AttractorCloud,
     IfsSystem,
+    _max_nearest,
     attractor,
     coding_map,
     hausdorff_distance,
@@ -134,22 +135,24 @@ def run_verify(
         # discretisation error is expanded by the composed inverse maps, so
         # the bound scales with their Lipschitz factor. The gap depends on
         # the prefix w = theta|k alone, so each distinct prefix is measured once
-        from scipy.spatial import cKDTree
-
         thetas = [
             tuple(int(rng.integers(1, ifs.n_maps + 1)) for _ in range(4))
             for _ in range(12)
         ]
+        # near[j - 1, c] is the cloud point nearest to f_j(c); for w ending
+        # in j, row c of B_{w|k-1} and row near[j - 1, c] of B_w are the
+        # images of f_j(c) and of that point under f_w^{-1} o f_j, so their
+        # distance bounds row c's gap (the README's Lip * H(f_j(C), C) row
+        # by row), and only rows above the largest gap found are queried
+        near = cloud.tree.query(ifs.images(cloud.points), workers=-1)[1]
+        near = near.reshape(ifs.n_maps, -1)
         gaps = []
         for w in sorted({theta[:k] for theta in thetas for k in range(1, 4)}):
-            tree = cKDTree(finite_continuation(ifs, cloud, w, len(w)))
+            outer = finite_continuation(ifs, cloud, w, len(w))
             inner = finite_continuation(ifs, cloud, w, len(w) - 1)
             lip = ifs.word_lipschitz(tuple(-d for d in w))
-            # bounded at tau; rows at or past it are queried again unbounded
-            d = tree.query(inner, distance_upper_bound=tau, workers=-1)[0]
-            far = ~(d < tau)
-            d[far] = tree.query(inner[far])[0]
-            gaps.append(d.max() / max(lip, 1.0))
+            bound = row_distances(inner, np.take(outer, near[w[-1] - 1], axis=0))
+            gaps.append(_max_nearest(inner, outer, bound) / max(lip, 1.0))
         return gaps
 
     _timed(report, "continuation-nesting", "nested-union", tau, nesting)

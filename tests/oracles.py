@@ -13,7 +13,9 @@ sphere orbit with `apply_complex`, since it checks how `chaos_game`
 batches the orbit, not the maps. `affine_row`, with which it steps an
 affine orbit, is the affine formula in Python floats, the reference for
 `fbe.maps.affine_image`. `format_rows` is Python's `%` formatting, the
-reference for the library's numpy number text.
+reference for the library's numpy number text. `nesting_gaps` pulls the
+cloud back with `finite_continuation`, since it checks which rows verify's
+continuation-nesting queries, not the maps.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 import fbe.ifs
+from fbe.basin import finite_continuation
 from fbe.errors import NoConvergenceError, ResolutionError
 from fbe.maps import to_sphere
 
@@ -332,6 +336,25 @@ def sequential_orbit(ifs, digits, x0) -> np.ndarray:
     for k, d in enumerate(np.asarray(digits).tolist()):
         x = orbit[k] = affine_row(*maps[d - 1], x)
     return orbit
+
+
+def nesting_gaps(ifs, cloud, rng_seed: int) -> list[float]:
+    """verify's continuation-nesting gaps with every row of B_{w|k-1}
+    queried on a tree of B_w, one tree per prefix w: the reference for the
+    check's per-row bounds. The prefixes, in sorted order, are those of
+    lengths 1-3 of the 12 four-digit words `run_verify` draws first from
+    its generator."""
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    thetas = [
+        tuple(int(rng.integers(1, ifs.n_maps + 1)) for _ in range(4)) for _ in range(12)
+    ]
+    gaps = []
+    for w in sorted({theta[:k] for theta in thetas for k in range(1, 4)}):
+        tree = cKDTree(finite_continuation(ifs, cloud, w, len(w)))
+        inner = finite_continuation(ifs, cloud, w, len(w) - 1)
+        lip = ifs.word_lipschitz(tuple(-d for d in w))
+        gaps.append(tree.query(inner)[0].max() / max(lip, 1.0))
+    return gaps
 
 
 def format_rows(row: str, columns):

@@ -718,12 +718,39 @@ def test_hausdorff_level_covers():
     assert hausdorff_distance(a, b) == pytest.approx(3.0 ** -(k + 1))
 
 
+def _brute_hausdorff(a, b):
+    diff = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    return max(diff.min(axis=1).max(), diff.min(axis=0).max())
+
+
 def test_hausdorff_matches_bruteforce(rng):
     a = rng.normal(size=(50, 2))
     b = rng.normal(size=(60, 2))
-    diff = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    brute = max(diff.min(axis=1).max(), diff.min(axis=0).max())
-    assert hausdorff_distance(a, b) == pytest.approx(brute, rel=1e-12)
+    assert hausdorff_distance(a, b) == _brute_hausdorff(a, b)
+
+
+@st.composite
+def _grid_sets(draw):
+    """Two sets of 1 to 200 rows on a coarse grid, with 1 to 4 columns:
+    duplicate rows and tied nearest points are common, and rows of b far
+    from a (nearest to no row of a, orphans) are planted."""
+    dim = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 1e3]))
+    rows = lambda n: st.lists(  # noqa: E731
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=1, max_size=n
+    )
+    a = np.array(draw(rows(200)), dtype=float) * scale
+    b = np.array(draw(rows(200)), dtype=float) * scale
+    far = np.array(draw(rows(80)), dtype=float) * scale * draw(st.sampled_from([1, 7]))
+    return a, np.concatenate([b, far + 10 * scale])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_grid_sets())
+def test_hausdorff_exact_on_ties_duplicates_and_orphans(sets):
+    a, b = sets
+    assert hausdorff_distance(a, b) == _brute_hausdorff(a, b)
+    assert hausdorff_distance(b, a) == _brute_hausdorff(b, a)
 
 
 def test_hausdorff_empty_error():

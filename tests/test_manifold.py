@@ -6,7 +6,9 @@ import pytest
 import scipy.spatial
 from scipy.spatial import cKDTree
 
+import fbe.ifs
 import fbe.manifold
+import fbe.verify
 from fbe import attractor, systems
 from fbe.addresses import Address, parse_address
 from fbe.basin import fast_basin_raster
@@ -27,7 +29,7 @@ from fbe.manifold import (
 from fbe.maps import AffineMap
 from fbe.verify import _random_manifold_points, run_verify
 
-from oracles import cantor_distance
+from oracles import cantor_distance, nesting_gaps
 
 A = parse_address
 
@@ -545,13 +547,61 @@ def test_manifold_point_validation(interval_ifs, interval_cloud):
         manifold_point(interval_ifs, interval_cloud, (1,), [0.75])  # positive digit
 
 
-def test_verify_nesting_one_tree_per_prefix(interval_ifs, interval_cloud, monkeypatch):
-    # the nesting gap depends on the prefix theta|k alone, and two maps
-    # have at most 2 + 4 + 8 prefixes of lengths 1-3; one tree per
-    # (theta, k) of the 12 draws would be 36
-    builds = _count_kdtree_builds(monkeypatch, scipy.spatial)
-    run_verify(interval_ifs, interval_cloud)
-    assert 0 < len(builds) <= 14
+# a coarse cell per built-in
+COARSE_CELLS = {name: 2.0**-6 for name in systems.SYSTEMS} | {
+    "cantor": 3.0**-5,
+    "quadratic_graph": 1 / 16,
+}
+
+
+def _nesting_only(monkeypatch) -> dict:
+    """Make run_verify run continuation-nesting alone and keep its gaps.
+    No check before it draws from run_verify's generator."""
+    seen = {}
+
+    def timed(report, name, tag, tolerance, fn):
+        if name == "continuation-nesting":
+            seen["gaps"] = fn()
+
+    monkeypatch.setattr(fbe.verify, "_timed", timed)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(systems.SYSTEMS))
+def test_verify_nesting_matches_all_rows_oracle(name, monkeypatch):
+    # the per-row bounds skip only rows that cannot raise a gap, so every
+    # gap, and the residual, is the all-rows query's float
+    ifs = systems.by_name(name)
+    cloud = attractor(ifs, COARSE_CELLS[name])
+    seen = _nesting_only(monkeypatch)
+    for seed in range(1, 5):
+        run_verify(ifs, cloud, rng_seed=seed)
+        assert seen.pop("gaps") == nesting_gaps(ifs, cloud, seed)
+
+
+def test_verify_nesting_one_tree_per_prefix(monkeypatch):
+    # one query of F(C) on the cloud's tree bounds each row of B_{w|k-1};
+    # a prefix builds a tree of B_w only if a row's bound is above the seed,
+    # the brute-force gap of the row with the largest bound
+    _nesting_only(monkeypatch)
+    builds = _count_kdtree_builds(monkeypatch, fbe.ifs)
+    past, real = [], fbe.verify._max_nearest
+
+    def max_nearest(rows, pts, bound):
+        seed = np.linalg.norm(pts - rows[np.argmax(bound)], axis=1).min()
+        past.append(bool(np.any(bound > seed)))
+        return real(rows, pts, bound)
+
+    monkeypatch.setattr(fbe.verify, "_max_nearest", max_nearest)
+    for name, cell, trees in [("interval", 2.0**-8, 0), ("mobius_arc", 2.0**-6, 9)]:
+        ifs = systems.by_name(name)
+        cloud = _fresh(attractor(ifs, cell))
+        builds.clear()
+        past.clear()
+        run_verify(ifs, cloud)
+        # two maps have 2 + 4 + 8 prefixes of lengths 1-3; the cloud's
+        # own tree is built first
+        assert len(past) == 14 and len(builds) == 1 + sum(past) == 1 + trees
 
 
 class _Unbounded(cKDTree):
@@ -580,8 +630,10 @@ def _bounded_query_outputs(ifs, cloud):
         ("koch", 2.0**-6),
         ("interval", 2.0**-6),
         ("mobius_arc", 2.0**-6),
-        # the nesting re-queries rows at or past tau here (256 of 448 at seed 7)
         ("cantor", 3.0**-5),
+        # the nesting queries rows bounded by its running maximum here
+        # (497-504 rows in each of 10 prefixes at seed 7)
+        ("triangle", 2.0**-6),
     ],
 )
 def test_bounded_queries_match_unbounded(name, cell, monkeypatch):
@@ -589,6 +641,7 @@ def test_bounded_queries_match_unbounded(name, cell, monkeypatch):
     cloud = attractor(ifs, cell)
     masks, glue, nesting = _bounded_query_outputs(ifs, cloud)
     monkeypatch.setattr(fbe.manifold, "cKDTree", _Unbounded)
+    monkeypatch.setattr(fbe.ifs, "cKDTree", _Unbounded)
     monkeypatch.setattr(scipy.spatial, "cKDTree", _Unbounded)
     masks_u, glue_u, nesting_u = _bounded_query_outputs(ifs, cloud)
     assert all(np.array_equal(a, b) for a, b in zip(masks, masks_u, strict=True))

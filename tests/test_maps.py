@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import fbe
 from fbe import systems
@@ -108,6 +109,21 @@ def test_row_distances_equal_norm(dim):
         for other in (b, b[7], b[3:4]):
             ref = np.linalg.norm(a - other, axis=1)
             assert row_distances(a, other).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_row_distances_equal_kdtree_query(dim):
+    # bit for bit the distance a cKDTree query returns, on balanced and
+    # unbalanced trees: fbe.ifs._max_nearest skips a row whose
+    # row_distances bound is <= a queried distance, which is exact only so
+    rng = np.random.default_rng(10 + dim)
+    for scale in 10.0 ** np.arange(-3, 4):
+        pts = rng.standard_normal((400, dim)) * scale * 10.0 ** rng.uniform(-1, 1, (400, 1))
+        rows = rng.standard_normal((300, dim)) * scale * 10.0 ** rng.uniform(-1, 1, (300, 1))
+        for balanced in (True, False):
+            d, i = cKDTree(pts, balanced_tree=balanced).query(rows)
+            assert row_distances(rows, pts[i]).tobytes() == d.tobytes()
+            assert row_distances(pts[i], rows).tobytes() == d.tobytes()
 
 
 def test_affine_fixed_point():
