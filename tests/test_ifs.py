@@ -732,13 +732,16 @@ def test_hausdorff_matches_bruteforce(rng):
 @st.composite
 def _grid_sets(draw):
     """Two sets of 1 to 200 rows on a coarse grid, with 1 to 4 columns:
-    duplicate rows and tied nearest points are common, and rows of b far
-    from a (nearest to no row of a, orphans) are planted."""
+    duplicate rows and tied nearest points are common. Up to 80 more rows
+    of b are shifted off a's grid, most of them nearest to no row of a
+    (orphans)."""
     dim = draw(st.integers(1, 4))
     scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 1e3]))
-    rows = lambda n: st.lists(  # noqa: E731
-        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=1, max_size=n
-    )
+
+    def rows(n):
+        cell = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        return st.lists(cell, min_size=1, max_size=n)
+
     a = np.array(draw(rows(200)), dtype=float) * scale
     b = np.array(draw(rows(200)), dtype=float) * scale
     far = np.array(draw(rows(80)), dtype=float) * scale * draw(st.sampled_from([1, 7]))
