@@ -9,9 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .addresses import Address, sigma, validate
 from .errors import DomainError, NoConvergenceError, ResolutionError
@@ -24,9 +24,27 @@ from .maps import (
     to_sphere,
 )
 
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree as KDTree
+
 SPACE_DIMS = {"R1": 1, "R2": 2, "R4": 4, "sphere": 3}
 
 Word = tuple[int, ...]
+
+
+def cKDTree(data, *args, **kwargs) -> KDTree:
+    """scipy's cKDTree of `data`; every KD-tree in fbe is built here.
+
+    scipy.spatial takes about 0.3 s to import, so it is imported at the
+    first build rather than with fbe, and a command that builds no tree
+    never loads it. The class is looked up in its defining module at every
+    call, a sys.modules hit after the first: it is not cached, so a patch
+    of it holds only while it is in place, and it is not read through
+    scipy.spatial.cKDTree, so a wrapper there counts no tree of fbe's.
+    """
+    from scipy.spatial._ckdtree import cKDTree as tree_class
+
+    return tree_class(data, *args, **kwargs)
 
 
 def _attracting_point(f) -> np.ndarray:
@@ -161,7 +179,7 @@ class AttractorCloud:
     points: np.ndarray
     epsilon: float
     meta: dict = field(default_factory=dict)
-    _tree: cKDTree | None = field(default=None, repr=False, compare=False)
+    _tree: KDTree | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -175,7 +193,7 @@ class AttractorCloud:
         return 3.0 * self.epsilon
 
     @property
-    def tree(self) -> cKDTree:
+    def tree(self) -> KDTree:
         if self._tree is None:
             self._tree = cKDTree(self.points)
         return self._tree
@@ -258,6 +276,14 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0 or b.size == 0:
         raise DomainError("hausdorff distance needs nonempty sets")
     d, idx = cKDTree(b).query(a, workers=-1)
+    return _hausdorff_from_query(a, b, d, idx)
+
+
+def _hausdorff_from_query(
+    a: np.ndarray, b: np.ndarray, d: np.ndarray, idx: np.ndarray
+) -> float:
+    """hausdorff_distance(a, b) from the query of a's rows on a tree of b,
+    nearest distances d and indices idx."""
     bound = np.full(b.shape[0], np.inf)
     np.minimum.at(bound, idx, d)
     return _max_nearest(b, a, bound, d.max())

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .addresses import Address, validate
 from .errors import (
@@ -21,8 +21,11 @@ from .errors import (
     DomainError,
     EmptyLeafError,
 )
-from .ifs import AttractorCloud, IfsSystem, check_word_tree, coding_map
+from .ifs import AttractorCloud, IfsSystem, check_word_tree, cKDTree, coding_map
 from .maps import row_distances
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree as KDTree
 
 Word = tuple[int, ...]
 
@@ -34,15 +37,16 @@ _LEAF_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _leaf_index(
     ifs: IfsSystem, cloud: AttractorCloud, i: int
-) -> tuple[cKDTree, np.ndarray]:
+) -> tuple[KDTree, np.ndarray]:
     """KD-tree of f_i(cloud) and the mask of cloud points outside f_i(A)."""
     entries = _LEAF_INDEX.setdefault(cloud, {})
     key = (ifs.ifs_hash(), i)
     if key not in entries:
         tree = cKDTree(ifs.transform(i, cloud.points))
-        # bounded at 2 tau: a distance in (tau, 2 tau] reads as itself or
-        # as inf, and either is > tau
-        d = tree.query(cloud.points, distance_upper_bound=2 * cloud.tau)[0]
+        # bounded just past tau: inf means a distance >= the bound > tau,
+        # and a finite distance is the unbounded query's float
+        bound = cloud.tau * (1 + 1e-9)
+        d = tree.query(cloud.points, distance_upper_bound=bound)[0]
         entries[key] = (tree, d > cloud.tau)
     return entries[key]
 
@@ -254,9 +258,10 @@ def _gluing_points(
     tau = cloud.tau
     outside = _leaf_index(ifs, cloud, i)[1]
     inside = cloud.points[~outside]
-    # bounded at 4 tau, clear of the 2 tau cut; a distance past the bound
-    # and an empty tree both answer inf, which leaves no candidate
-    d_far = cKDTree(cloud.points[outside]).query(inside, distance_upper_bound=4 * tau)[0]
+    # bounded just past the 2 tau cut: a distance at or past the bound and
+    # an empty tree both answer inf, which leaves no candidate
+    bound = 2 * tau * (1 + 1e-9)
+    d_far = cKDTree(cloud.points[outside]).query(inside, distance_upper_bound=bound)[0]
     cand = inside[d_far <= 2 * tau]
     if cand.shape[0] == 0:
         return []
@@ -292,7 +297,7 @@ def branch_points(
         return []
 
     # leaves[0] is (), whose closure is the cloud
-    closure_trees = {(): cKDTree(cloud.points)}
+    closure_trees = {(): cloud.tree}
     for phi in leaves[1:]:
         i = -phi[-1]
         base = np.vstack([cloud.points[_leaf_index(ifs, cloud, i)[1]], *glue[i]])

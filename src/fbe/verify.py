@@ -20,10 +20,10 @@ from .errors import DomainError, EmptyLeafError
 from .ifs import (
     AttractorCloud,
     IfsSystem,
+    _hausdorff_from_query,
     _max_nearest,
     attractor,
     coding_map,
-    hausdorff_distance,
     verify_semiconjugacy,
 )
 from .manifold import (
@@ -108,9 +108,15 @@ def run_verify(
     if cloud is None:
         cloud = attractor(ifs, cell)
     eps, tau = cloud.epsilon, cloud.tau
+    # what one check leaves for a later one: the query of F(C) on the
+    # cloud's tree, and the word-tree raster that union-equivalence draws
+    shared = {}
 
     def invariance():
-        return hausdorff_distance(ifs.images(cloud.points), cloud.points)
+        # hausdorff_distance(F(C), C), its first query made on the cloud's tree
+        imgs = ifs.images(cloud.points)
+        d, shared["near"] = cloud.tree.query(imgs, workers=-1)
+        return _hausdorff_from_query(imgs, cloud.points, d, shared["near"])
 
     _timed(report, "attractor-invariance", "set-invariance", 2 * eps, invariance)
 
@@ -144,8 +150,9 @@ def run_verify(
         # images of f_j(c) and of that point under f_w^{-1} o f_j, so their
         # distance bounds row c's gap (the README's Lip * H(f_j(C), C) row
         # by row), and only rows above the largest gap found are queried
-        near = cloud.tree.query(ifs.images(cloud.points), workers=-1)[1]
-        near = near.reshape(ifs.n_maps, -1)
+        if "near" not in shared:  # attractor-invariance did not run
+            shared["near"] = cloud.tree.query(ifs.images(cloud.points), workers=-1)[1]
+        near = shared["near"].reshape(ifs.n_maps, -1)
         gaps = []
         for w in sorted({theta[:k] for theta in thetas for k in range(1, 4)}):
             outer = finite_continuation(ifs, cloud, w, len(w))
@@ -156,9 +163,6 @@ def run_verify(
         return gaps
 
     _timed(report, "continuation-nesting", "nested-union", tau, nesting)
-
-    # the word-tree raster that union-equivalence draws, for raster-membership
-    shared = {}
 
     def union_equiv():
         lo, hi = cloud.bounding_box()

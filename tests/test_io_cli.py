@@ -1,15 +1,21 @@
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbe.ifs
+import fbe.manifold
 import fbe.verify
 from fbe import io, manifold, systems
 from fbe.addresses import parse_address
@@ -474,6 +480,64 @@ def test_benchmark_hooks_resolve():
         assert attr in vars(cls), (cls.__name__, attr)
     for module, _ in tracing.KDTREES:
         assert hasattr(module, "cKDTree"), module.__name__
+
+
+# A child interpreter: whether a module is loaded depends on all that the
+# process ran before. It prints whether scipy.spatial is loaded after
+# commands that build no KD-tree, and again after one that does.
+_LAZY_SCIPY = """
+import contextlib, io, sys
+import fbe, fbe.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fbe.cli.main(list(argv)) == 0
+
+print("scipy" in sys.modules)
+run("attractor", "--ifs", "cantor", "--cell", "0.01")
+run("fastbasin", "--ifs", "interval", "--cell", "0.01", "--region", "-3,4", "--grid", "64")
+print("scipy.spatial" in sys.modules)
+run("attractor", "--ifs", "cantor", "--chaos", "2000")
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_scipy_spatial_loads_at_the_first_tree():
+    env = {k: v for k, v in os.environ.items() if k != io.CACHE_ENV}
+    env["PYTHONPATH"] = str(Path(fbe.ifs.__file__).parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    # the Hutchinson attractor's stop rule and the raster build no tree;
+    # the chaos game's residual does
+    assert child.stdout.split() == ["False", "False", "True"]
+
+
+def test_kdtree_helper_builds_scipy_trees_uncounted_by_scipy_spatial(monkeypatch):
+    pts = np.random.default_rng(0).random((50, 2))
+    assert isinstance(fbe.ifs.cKDTree(pts), scipy.spatial.cKDTree)
+    # fbe takes the class from its defining module, so a wrapper on the
+    # public name sees none of fbe's trees
+    seen, fbe_builds = [], []
+    real = scipy.spatial.cKDTree
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
+    for module in (fbe.ifs, fbe.manifold):
+        helper = module.cKDTree
+
+        def counted_fbe(*args, helper=helper, **kwargs):
+            fbe_builds.append(1)
+            return helper(*args, **kwargs)
+
+        monkeypatch.setattr(module, "cKDTree", counted_fbe)
+    ifs = systems.interval()
+    manifold.branch_points(ifs, attractor(ifs, 2.0**-6), 2)
+    assert fbe_builds and not seen
 
 
 def test_benchmark_verify_checks_match_run_verify():

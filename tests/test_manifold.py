@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.spatial
 from scipy.spatial import cKDTree
 
 import fbe.ifs
@@ -461,6 +460,24 @@ def test_manifold_point_reuses_leaf_index(sierpinski_ifs, sierpinski_cloud, monk
     assert a.theta == (-1,) and b.theta == (-2, -1)
 
 
+def test_one_tree_per_point_set(sierpinski_ifs, monkeypatch):
+    # fbe.ifs builds the cloud's tree, once: verify's invariance and nesting
+    # share one query of F(C) on it, and branch_points takes it as the
+    # closure of leaf (). fbe.manifold builds one leaf-index tree per map,
+    # and for branch_points one gluing tree per map and one tree per
+    # nonempty leaf label of length <= 2. A second tree of the cloud, in
+    # invariance or as the closure of (), would read (2, 3) or (1, 19).
+    cloud = attractor(sierpinski_ifs, 2.0**-6)
+    ifs_builds = _count_kdtree_builds(monkeypatch, fbe.ifs)
+    manifold_builds = _count_kdtree_builds(monkeypatch, fbe.manifold)
+    run_verify(sierpinski_ifs, _fresh(cloud))
+    assert (len(ifs_builds), len(manifold_builds)) == (1, 3)
+    ifs_builds.clear()
+    manifold_builds.clear()
+    branch_points(sierpinski_ifs, _fresh(cloud), 2)
+    assert (len(ifs_builds), len(manifold_builds)) == (1, 3 + 3 + 12)
+
+
 def test_leaf_index_keyed_by_system(interval_ifs, interval_cloud):
     # one cloud, two systems whose f_1 differ: each keeps its own mask
     swapped = IfsSystem(interval_ifs.space, interval_ifs.maps[::-1])
@@ -634,6 +651,9 @@ def _bounded_query_outputs(ifs, cloud):
         # the nesting queries rows bounded by its running maximum here
         # (497-504 rows in each of 10 prefixes at seed 7)
         ("triangle", 2.0**-6),
+        # tau is a large share of the extent: the leaf-index and gluing
+        # queries find many rows near their bounds
+        ("quadratic_graph", 1 / 16),
     ],
 )
 def test_bounded_queries_match_unbounded(name, cell, monkeypatch):
@@ -642,7 +662,6 @@ def test_bounded_queries_match_unbounded(name, cell, monkeypatch):
     masks, glue, nesting = _bounded_query_outputs(ifs, cloud)
     monkeypatch.setattr(fbe.manifold, "cKDTree", _Unbounded)
     monkeypatch.setattr(fbe.ifs, "cKDTree", _Unbounded)
-    monkeypatch.setattr(scipy.spatial, "cKDTree", _Unbounded)
     masks_u, glue_u, nesting_u = _bounded_query_outputs(ifs, cloud)
     assert all(np.array_equal(a, b) for a, b in zip(masks, masks_u, strict=True))
     for g, g_u in zip(glue, glue_u, strict=True):
