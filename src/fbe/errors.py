@@ -30,11 +30,14 @@ class NoConvergenceError(FbeError):
 
 
 class AmbiguousMembershipError(FbeError):
-    """A point fell in the (tau, 2*tau) annulus around the attractor cloud."""
+    """A point fell in the (tau, 2*tau] annulus around the attractor cloud."""
 
 
 class ResolutionError(FbeError):
-    """A requested tolerance is finer than the cloud resolution supports."""
+    """A request passes what the resolution or a work cap supports: a
+    tolerance finer than the cloud's tau, a word tree over MAX_WORDS words,
+    an attractor step or chaos orbit over MAX_IMAGE_POINTS images, or a
+    chaos orbit or finite continuation that overflows the floats."""
 
 
 class EmptyLeafError(FbeError):

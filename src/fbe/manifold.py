@@ -229,48 +229,23 @@ def leaf_projection(
 # -- branch points ---------------------------------------------------------------
 
 
-def _cluster_1d_or_nd(points: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Greedy clustering: centres of groups of points within `radius`."""
-    remaining = points.copy()
-    centres = []
-    while remaining.shape[0]:
-        seed = remaining[0]
-        mask = row_distances(remaining, seed) <= radius
-        centres.append(remaining[mask].mean(axis=0))
-        remaining = remaining[~mask]
-    return centres
-
-
 def _gluing_points(
     ifs: IfsSystem, cloud: AttractorCloud, i: int
 ) -> list[np.ndarray]:
     """Points of f_i(A) that are limits of A minus f_i(A).
 
-    Detected from the cloud at tolerance tau, clustered, and each cluster
-    centre replaced by the nearest pi(i.(j)*) = f_i(Fix f_j), j != i, within
-    4*tau. On nested fractals the pieces f_i(A) meet only at such images of
-    the fixed points, so there the gluing points are exact up to float
-    rounding. Elsewhere a gluing point is only as good as the cloud: pieces
-    that overlap or share edges (triangle, quadratic_graph) do not meet in
-    finitely many junctions, so a junction stands for a longer contact, and
-    a cluster with no junction within 4*tau keeps its centre.
+    A gluing point is a junction pi(i.(j)*) = f_i(Fix f_j), j != i, that
+    lies within 2*tau of the cloud's share of A minus f_i(A). On nested
+    fractals the pieces f_i(A) meet only at such junctions, so there the
+    gluing points are exact up to float rounding. On systems whose pieces
+    overlap or share edges (triangle, quadratic_graph) the contact is not
+    finitely many points, and a junction stands for a longer contact.
     """
-    tau = cloud.tau
-    outside = _leaf_index(ifs, cloud, i)[1]
-    inside = cloud.points[~outside]
-    # bounded just past the 2 tau cut: a distance at or past the bound and
-    # an empty tree both answer inf, which leaves no candidate
-    bound = 2 * tau * (1 + 1e-9)
-    d_far = cKDTree(cloud.points[outside]).query(inside, distance_upper_bound=bound)[0]
-    cand = inside[d_far <= 2 * tau]
-    if cand.shape[0] == 0:
-        return []
+    outside = cloud.points[_leaf_index(ifs, cloud, i)[1]]
     junctions = ifs.transform(i, np.delete(ifs.fixed_points(), i - 1, axis=0))
-    out = []
-    for centre in _cluster_1d_or_nd(cand, 8 * tau):
-        q = min(junctions, key=lambda q: np.linalg.norm(q - centre), default=centre)
-        out.append(q if np.linalg.norm(q - centre) <= 4 * tau else centre)
-    return out
+    # an empty A minus f_i(A) is at distance inf and glues nothing
+    near = [row_distances(outside, q).min(initial=np.inf) for q in junctions]
+    return [q for q, d in zip(junctions, near) if d <= 2 * cloud.tau]
 
 
 def branch_points(

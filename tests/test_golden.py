@@ -108,12 +108,13 @@ LEVEL_RASTERS = {
 
 # `fbe manifold branch` stdout: projections, integer parts and incidences
 BRANCH = {
+    # the same 15 points, projections and incidences as at 2^-8
     "sierpinski": (
         [
             "manifold", "branch", "--ifs", "sierpinski", "--cell", "0.015625",
             "--depth", "3",
         ],
-        "26b0ecef87991bb9b41bdedf1e870ddb440685c96bc76fcccd87a3e3ead810c4",
+        "4581c796ae294d1702bed353319128f380612f8d74a93072f3579753d1c48a54",
     ),
     "koch": (
         ["manifold", "branch", "--ifs", "koch", "--cell", "0.015625", "--depth", "2"],

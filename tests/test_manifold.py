@@ -464,9 +464,9 @@ def test_one_tree_per_point_set(sierpinski_ifs, monkeypatch):
     # fbe.ifs builds the cloud's tree, once: verify's invariance and nesting
     # share one query of F(C) on it, and branch_points takes it as the
     # closure of leaf (). fbe.manifold builds one leaf-index tree per map,
-    # and for branch_points one gluing tree per map and one tree per
-    # nonempty leaf label of length <= 2. A second tree of the cloud, in
-    # invariance or as the closure of (), would read (2, 3) or (1, 19).
+    # and for branch_points one tree per nonempty leaf label of length
+    # <= 2. A second tree of the cloud, in invariance or as the closure of
+    # (), would read (2, 3) or (1, 16).
     cloud = attractor(sierpinski_ifs, 2.0**-6)
     ifs_builds = _count_kdtree_builds(monkeypatch, fbe.ifs)
     manifold_builds = _count_kdtree_builds(monkeypatch, fbe.manifold)
@@ -475,7 +475,7 @@ def test_one_tree_per_point_set(sierpinski_ifs, monkeypatch):
     ifs_builds.clear()
     manifold_builds.clear()
     branch_points(sierpinski_ifs, _fresh(cloud), 2)
-    assert (len(ifs_builds), len(manifold_builds)) == (1, 3 + 3 + 12)
+    assert (len(ifs_builds), len(manifold_builds)) == (1, 3 + 12)
 
 
 def test_leaf_index_keyed_by_system(interval_ifs, interval_cloud):
@@ -538,9 +538,43 @@ def test_branch_points_sierpinski_cell_independent(sierpinski_ifs):
         cloud = attractor(sierpinski_ifs, cell)
         return [p.proj for p, _ in branch_points(sierpinski_ifs, cloud, depth=3)]
 
-    coarse, fine = projections(2.0**-8), projections(2.0**-9)
-    assert len(coarse) == len(fine) == 15
-    assert all(np.array_equal(a, b) for a, b in zip(coarse, fine))
+    finest = projections(2.0**-9)
+    assert len(finest) == 15
+    for k in range(5, 9):
+        found = projections(2.0**-k)
+        assert len(found) == 15, k
+        assert all(np.array_equal(a, b) for a, b in zip(found, finest)), k
+
+
+def test_gluing_points_keep_every_junction(sierpinski_ifs):
+    # f_1(A) meets f_2(A) at f_1(Fix f_2) and f_3(A) at f_1(Fix f_3); a
+    # coarse cell must not merge the two
+    cloud = attractor(sierpinski_ifs, 2.0**-6)
+    glue = fbe.manifold._gluing_points(sierpinski_ifs, cloud, 1)
+    assert [tuple(g) for g in glue] == [(0.5, 0.0), (0.0, 0.5)]
+
+
+def test_gluing_points_on_contact_edges():
+    # f_2(A) touches the rest of the triangle along x = 1/2; the junction
+    # f_2(Fix f_4) = (2/3, 1/6) lies 1/6 inside f_2(A) and glues nothing
+    ifs = systems.by_name("triangle")
+    cloud = attractor(ifs, 2.0**-7)
+    glue = fbe.manifold._gluing_points(ifs, cloud, 2)
+    inner = ifs.transform(2, ifs.fixed_points()[3:])[0]
+    assert np.allclose(inner, [2 / 3, 1 / 6], rtol=0, atol=1e-15)
+    assert sorted(tuple(g) for g in glue) == [(0.5, 0.0), (0.5, 0.5)]
+    # the middle piece f_4(A) shares an edge with each corner piece, and
+    # its junction (1/2, 1/2) lies about 1.44 tau from A minus f_4(A)
+    glue = fbe.manifold._gluing_points(ifs, cloud, 4)
+    assert sorted(tuple(g) for g in glue) == [(0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
+
+
+def test_branch_points_quadratic_graph_symmetric():
+    ifs = systems.by_name("quadratic_graph")
+    found = branch_points(ifs, attractor(ifs, 1 / 32), depth=2)
+    assert len(found) == 16
+    on_a = [count for p, count in found if not p.theta]
+    assert len(on_a) == 4 and len(set(on_a)) == 1
 
 
 @pytest.mark.parametrize("name, cell", [("sierpinski", 2.0**-8), ("interpolation", 2.0**-7)])
@@ -651,8 +685,8 @@ def _bounded_query_outputs(ifs, cloud):
         # the nesting queries rows bounded by its running maximum here
         # (497-504 rows in each of 10 prefixes at seed 7)
         ("triangle", 2.0**-6),
-        # tau is a large share of the extent: the leaf-index and gluing
-        # queries find many rows near their bounds
+        # tau is a large share of the extent: the leaf-index queries find
+        # many rows near their bound, and the gluing points read its masks
         ("quadratic_graph", 1 / 16),
     ],
 )
