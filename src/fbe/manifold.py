@@ -240,12 +240,29 @@ def _gluing_points(
     gluing points are exact up to float rounding. On systems whose pieces
     overlap or share edges (triangle, quadratic_graph) the contact is not
     finitely many points, and a junction stands for a longer contact.
+
+    When no junction glues, A minus f_i(A) must stay farther than 2*tau
+    from f_i(cloud): pieces that touch only away from the junctions (say
+    at a deeper junction, as f_1(x) = (1 - x)/2, f_2(x) = (1 + x)/2 do at
+    1/2) raise DomainError rather than read as separated.
     """
-    outside = cloud.points[_leaf_index(ifs, cloud, i)[1]]
+    tree, outside_mask = _leaf_index(ifs, cloud, i)
+    outside = cloud.points[outside_mask]
     junctions = ifs.transform(i, np.delete(ifs.fixed_points(), i - 1, axis=0))
     # an empty A minus f_i(A) is at distance inf and glues nothing
     near = [row_distances(outside, q).min(initial=np.inf) for q in junctions]
-    return [q for q, d in zip(junctions, near) if d <= 2 * cloud.tau]
+    glue = [q for q, d in zip(junctions, near) if d <= 2 * cloud.tau]
+    if not glue:
+        # bounded just past the 2 tau cut, as in _leaf_index
+        bound = 2 * cloud.tau * (1 + 1e-9)
+        gap = tree.query(outside, distance_upper_bound=bound)[0].min(initial=np.inf)
+        if gap <= 2 * cloud.tau:
+            raise DomainError(
+                f"A minus f_{i}(A) comes within {gap:.3g} of f_{i}(A) "
+                f"(2*tau = {2 * cloud.tau:.3g}), but no junction f_{i}(Fix f_j) "
+                "does: branch points need pieces that meet at these junctions"
+            )
+    return glue
 
 
 def branch_points(
@@ -261,7 +278,8 @@ def branch_points(
     within 2*tau of the point. A candidate with fewer than two incident
     leaves, or within 2*tau of a point already kept, is dropped. Systems
     whose first-level images are separated (empty gluing sets) have no
-    branch points.
+    branch points; pieces that touch away from every junction raise
+    DomainError (see _gluing_points).
     """
     tol = 2 * cloud.tau
     leaves = enumerate_leaves(ifs.n_maps, depth)  # refuses depth < 0

@@ -666,6 +666,19 @@ def test_cli_attractor_default_cell(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("attractor: 1001 points")
 
 
+def test_cli_manifold_branch_refuses_contact_away_from_junctions(tmp_path, capsys):
+    # f_1(x) = (1 - x)/2, f_2(x) = (1 + x)/2 meet at 1/2, no junction
+    # f_i(Fix f_j): exit 2 rather than print no branch points
+    maps = [
+        {"type": "affine", "matrix": [[s]], "offset": [0.5]} for s in (-0.5, 0.5)
+    ]
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps({"space": "R1", "maps": maps}))
+    assert main(["manifold", "branch", "--ifs", str(path), "--depth", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "no junction f_1(Fix f_j)" in err[0], err
+
+
 def test_cli_attractor_runaway_growth(tmp_path, capsys):
     # x -> 2x, x -> 2x + 1 has no attracting fixed point: exit 2 at once
     maps = [{"type": "affine", "matrix": [[2.0]], "offset": [t]} for t in (0.0, 1.0)]

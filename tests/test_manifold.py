@@ -555,18 +555,53 @@ def test_gluing_points_keep_every_junction(sierpinski_ifs):
 
 
 def test_gluing_points_on_contact_edges():
-    # f_2(A) touches the rest of the triangle along x = 1/2; the junction
-    # f_2(Fix f_4) = (2/3, 1/6) lies 1/6 inside f_2(A) and glues nothing
+    # f_2(A) touches the rest of the triangle along x = 1/2. The junction
+    # f_2(Fix f_4) = (2/3, 1/6) lies 1/6 inside f_2(A); at this cell it is
+    # past the 2 tau cut (tau = 0.12), at 2^-5 and 2^-6 it is not. Which
+    # interior junctions glue depends on the cell, because triangle's tau
+    # is large against its pieces.
     ifs = systems.by_name("triangle")
     cloud = attractor(ifs, 2.0**-7)
     glue = fbe.manifold._gluing_points(ifs, cloud, 2)
     inner = ifs.transform(2, ifs.fixed_points()[3:])[0]
     assert np.allclose(inner, [2 / 3, 1 / 6], rtol=0, atol=1e-15)
     assert sorted(tuple(g) for g in glue) == [(0.5, 0.0), (0.5, 0.5)]
+    # map 1's interior junction f_1(Fix f_4) = (1/6, 1/6) is inside the cut
+    # here, by 0.2% of it, and glues next to the two edge junctions
+    glue = fbe.manifold._gluing_points(ifs, cloud, 1)
+    assert [tuple(g) for g in glue[:2]] == [(0.0, 0.5), (0.5, 0.0)]
+    assert len(glue) == 3 and np.allclose(glue[2], [1 / 6, 1 / 6], rtol=0, atol=1e-15)
     # the middle piece f_4(A) shares an edge with each corner piece, and
     # its junction (1/2, 1/2) lies about 1.44 tau from A minus f_4(A)
     glue = fbe.manifold._gluing_points(ifs, cloud, 4)
     assert sorted(tuple(g) for g in glue) == [(0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
+
+
+def _flipped_interval():
+    # f_1(x) = (1 - x)/2, f_2(x) = (1 + x)/2: A = [0, 1], and the pieces meet
+    # at 1/2 = f_1(0) = f_2(0), which is no junction f_i(Fix f_j): those
+    # are f_1(1) = 0 and f_2(1/3) = 2/3
+    return IfsSystem(
+        "R1",
+        (
+            AffineMap(np.array([[-0.5]]), np.array([0.5])),
+            AffineMap(np.array([[0.5]]), np.array([0.5])),
+        ),
+    )
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_gluing_points_refuse_contact_away_from_junctions(k):
+    ifs = _flipped_interval()
+    cloud = attractor(ifs, 2.0**-k)
+    for i in (1, 2):
+        tree, outside = fbe.manifold._leaf_index(ifs, cloud, i)
+        gap = tree.query(cloud.points[outside])[0].min()
+        assert cloud.tau < gap <= 2 * cloud.tau
+    with pytest.raises(DomainError, match="no junction f_1"):
+        fbe.manifold._gluing_points(ifs, cloud, 1)
+    with pytest.raises(DomainError, match="no junction f_1"):
+        branch_points(ifs, cloud, depth=1)
 
 
 def test_branch_points_quadratic_graph_symmetric():
